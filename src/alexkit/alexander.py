@@ -68,11 +68,15 @@ def alexander_matrix(d, weights=None):
             raise UnknownGenerator(
                 "arcs %d and %d lie on one component but carry different "
                 "weights" % (c.under_in, c.under_out))
+    # a relator involves at most three arcs; every other derivative is 0
+    zero = MultiLaurentPoly.zero(weights.nvars)
     rows = []
     for c in d.crossings[:-1]:
         w = _relator(c)
-        rows.append([fox_derivative_abelianized(w, arc, weights)
-                     for arc in range(1, d.arc_count + 1)])
+        row = [zero] * d.arc_count
+        for arc in {g for g, _ in w.letters}:
+            row[arc - 1] = fox_derivative_abelianized(w, arc, weights)
+        rows.append(row)
     return AlexanderMatrix(rows, d.arc_count, weights.nvars)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import EmptyMatrix
+from .errors import EmptyMatrix, RouteDisagreement
 from .fields import Mat, kernel_basis
 from .laurent import LaurentPoly, exact_div, normalize_unit
 from .snf import minor_matrix, poly_det
@@ -158,7 +158,7 @@ def closure_alexander(b, deleted_index=0):
         lhs = (one - t) * red_det
         rhs = (one - t ** b.strands) * det
         if normalize_unit(lhs) != normalize_unit(rhs):
-            raise AssertionError(
+            raise RouteDisagreement(
                 "reduced-Burau cross-check failed for %s" % b.render())
         # the ratio is exactly a unit; verify by exact division
         exact_div(lhs, rhs)

@@ -1,7 +1,8 @@
 """Command-line front end: `alexkit <verb> [--format F] [--t T] [--json]
 [--file P | <inline input>]`.
 
-Exit codes: 0 success, 2 parse/validation errors, 3 domain errors.
+Exit codes: 0 success, 1 route disagreement, 2 parse/validation errors,
+3 domain errors.
 """
 from __future__ import annotations
 
@@ -19,8 +20,9 @@ from .codes import (braid_closure, catalog_lookup, catalog_names,
                     parse_braid, parse_crossing_list, parse_pd)
 from .errors import (AlexkitError, AmbiguousOrientation, BoundaryMismatch,
                      DimensionMismatch, EmptyMatrix, NotAUnit, NotFound,
-                     ParseError, UnknownGenerator, UseMultivariableRoute,
-                     UseUnivariateRoute, ValidationError, ZeroPolynomial)
+                     ParseError, RouteDisagreement, UnknownGenerator,
+                     UseMultivariableRoute, UseUnivariateRoute,
+                     ValidationError, ZeroPolynomial)
 from .fields import ComplexPoint, GenericTField, RationalPoint
 from .laurent import LaurentPoly, normalize_unit
 from .tangles import (braid_closure_expr, closed_tangle_delta,
@@ -32,8 +34,13 @@ _DOMAIN_ERRORS = (NotAUnit, ZeroPolynomial, UnknownGenerator,
                   UseMultivariableRoute, UseUnivariateRoute,
                   DimensionMismatch, EmptyMatrix)
 
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# "a+bi", "a-bi" or "bi"; a real part must be followed by the sign of b
 _COMPLEX_RE = re.compile(
-    r"([+-]?[0-9]+(?:\.[0-9]+)?)([+-][0-9]+(?:\.[0-9]+)?)i")
+    r"(?:([+-]?%s)(?=[+-]))?([+-]?%s)i" % (_NUMBER, _NUMBER))
+
+# a value after --t that argparse would take for an option
+_NEGATIVE_T_RE = re.compile(r"-[0-9.]")
 
 _VERBS = ("alexander", "burau", "fiber", "strata", "virtual-class",
           "module", "ring", "span", "closure", "catalog", "selftest")
@@ -48,7 +55,8 @@ def parse_t_spec(text):
         return GenericTField()
     m = _COMPLEX_RE.fullmatch(text)
     if m:
-        return ComplexPoint(complex(float(m.group(1)), float(m.group(2))))
+        return ComplexPoint(complex(float(m.group(1) or 0),
+                                    float(m.group(2))))
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -239,10 +247,26 @@ def _emit_json(obj):
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _bind_t_values(argv):
+    """Rewrite `--t -1/3` as `--t=-1/3`, so a negative t-spec is read as
+    the value of --t."""
+    out = []
+    i = 0
+    while i < len(argv):
+        if (argv[i] == "--t" and i + 1 < len(argv)
+                and _NEGATIVE_T_RE.match(argv[i + 1])):
+            out.append("--t=" + argv[i + 1])
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def run(argv):
     parser = build_parser()
     try:
-        args = parser.parse_intermixed_args(argv)
+        args = parser.parse_intermixed_args(_bind_t_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -276,7 +300,7 @@ def run(argv):
                 obj, _ = _run_verb(args.verb, stripped, args.fmt, field,
                                    None)
                 print(_emit_json(obj))
-            except (AlexkitError, AssertionError) as exc:
+            except AlexkitError as exc:
                 print(_emit_json({"verb": args.verb, "input": stripped,
                                   "error": str(exc)}))
         return 0
@@ -293,6 +317,9 @@ def run(argv):
     except _DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except RouteDisagreement as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     print(_emit_json(obj) if args.json else text)
     return 0
 

@@ -64,5 +64,9 @@ class UseUnivariateRoute(AlexkitError):
     """Operation defined for links was called on a knot."""
 
 
+class RouteDisagreement(AlexkitError):
+    """Two routes that compute the same invariant gave different values."""
+
+
 class EmptyMatrix(AlexkitError):
     """Reduced Burau representation of the 1-strand braid group is empty."""

@@ -1,6 +1,8 @@
 """Smith normal form over Q[t, t^-1] and small symbolic determinants."""
 from __future__ import annotations
 
+import heapq
+
 from .laurent import LaurentPoly, canonical_poly, divmod_laurent
 
 
@@ -64,10 +66,9 @@ def _clear_pivot(m, p, nrows, ncols):
             return
 
 
-def smith_normal_form(rows):
-    """Invariant factors d1 | d2 | ... | dr of a LaurentPoly matrix,
-    each in canonical form; the empty list for a zero or empty matrix."""
-    m = [list(r) for r in rows]
+def _dense_smith(m):
+    """Invariant factors of a dense matrix (a list of row lists, reduced
+    in place) by pivoting on entries of least degree spread."""
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     diag = []
@@ -99,6 +100,94 @@ def smith_normal_form(rows):
         diag.append(m[p][p])
         p += 1
     return [canonical_poly(d) for d in diag]
+
+
+def _unit_presolve(rows):
+    """Eliminate unit pivots c*t^k by sparse Gaussian elimination.
+
+    Returns the number of pivots eliminated and the dense rows of what is
+    left, without its zero rows and columns.
+    The next pivot is the unit entry of least Markowitz cost
+    (r - 1)(c - 1), with r and c the nonzero counts of its row and column.
+    """
+    sparse = [{j: x for j, x in enumerate(row) if not x.is_zero}
+              for row in rows]
+    cols = {}
+    for i, row in enumerate(sparse):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # Invariant: every unit entry has a heap item with its current cost;
+    # items whose row, entry or cost has changed since are skipped.
+    heap = []
+
+    def push_units(i, js):
+        row = sparse[i]
+        for j in js:
+            if row[j].is_unit():
+                heapq.heappush(
+                    heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+
+    for i, row in enumerate(sparse):
+        push_units(i, row)
+    eliminated = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        row = sparse[i]
+        if row is None or j not in row or not row[j].is_unit() \
+                or cost != (len(row) - 1) * (len(cols[j]) - 1):
+            continue
+        (e, c), = row.pop(j).coeffs.items()
+        inverse = LaurentPoly()
+        inverse.coeffs = {-e: 1 / c}
+        pivot_row = {k: x * inverse for k, x in row.items()}
+        sparse[i] = None
+        for k in pivot_row:
+            cols[k].discard(i)
+        changed = [r for r in cols.pop(j) if r != i]
+        for r in changed:
+            target = sparse[r]
+            f = target.pop(j)
+            for k, x in pivot_row.items():
+                old = target.get(k)
+                new = -(f * x) if old is None else old - f * x
+                if not new.is_zero:
+                    if old is None:
+                        cols[k].add(r)
+                    target[k] = new
+                elif old is not None:
+                    del target[k]
+                    cols[k].discard(r)
+        eliminated += 1
+        for r in changed:
+            push_units(r, sparse[r])
+        for k in pivot_row:
+            for r in cols[k]:
+                push_units(r, (k,))
+    left = [row for row in sparse if row]
+    keep = sorted(k for k, members in cols.items() if members)
+    zero = LaurentPoly.zero()
+    return eliminated, [[row.get(k, zero) for k in keep] for row in left]
+
+
+def smith_normal_form(rows):
+    """Invariant factors d1 | d2 | ... | dr of a LaurentPoly matrix,
+    each in canonical form; the empty list for a zero or empty matrix.
+
+    A sparse presolve comes first, the unit-pivot preconditioning of
+    Dumas, Saunders and Villard ("On efficient sparse integer matrix Smith
+    normal form computations", J. Symb. Comput. 32, 2001).  While some
+    entry is a unit c*t^k of Q[t, t^-1], it clears that entry's column
+    with row operations, which are invertible because the pivot is a
+    unit, and then its row, which leaves the rest untouched.  Each such
+    step splits off a 1 x 1 block equivalent to (1), so it contributes
+    the invariant factor 1 and leaves the Smith form of the remaining
+    (Schur complement) matrix to supply the others.  The products
+    d1...dj, and with them Delta^k and the strata, are therefore those of
+    the full matrix.  What is left, typically a few rows, is reduced
+    densely by pivoting on entries of least degree spread.
+    """
+    units, rest = _unit_presolve(rows)
+    return [LaurentPoly.one() for _ in range(units)] + _dense_smith(rest)
 
 
 def poly_det(rows, one):

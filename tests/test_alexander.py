@@ -11,8 +11,9 @@ from alexkit.alexander import (AlexanderData, alexander_data,
                                fibre_dimension, knot_delta,
                                multivariable_alexander, ring_presentation,
                                virtual_class, VirtualClassPoly)
+from alexkit.burau import closure_alexander
 from alexkit.codes import (BraidWord, braid_closure, catalog_lookup,
-                           catalog_names)
+                           catalog_names, parse_braid)
 from alexkit.errors import (NotAUnit, UseMultivariableRoute,
                             UseUnivariateRoute)
 from alexkit.laurent import LaurentPoly, MultiLaurentPoly, normalize_unit
@@ -44,6 +45,14 @@ def test_delta_route_matches_braid_closure_diagram():
         d = braid_closure(b)
         p = knot_delta(d)
         assert p.is_zero or p == normalize_unit(p)
+
+
+def test_fox_route_matches_burau_on_six_strand_knot():
+    # a dense Smith form of this 36 x 37 Fox matrix takes about 20 s
+    b = parse_braid("6: s2 s5 s5 s2 S5 S5 s3 S5 S1 s3 s1 S5 S5 S2 S2 s3 s3 "
+                    "s1 s1 s2 s3 s2 s4 S3 S4 s1 s3 s1 s4 s4 s3 S1 s2 S1 s3 "
+                    "S5 S5")
+    assert knot_delta(braid_closure(b)) == closure_alexander(b)
 
 
 def test_trefoil_module_data():

@@ -1,11 +1,13 @@
 """Command-line interface: verbs, formats, JSON output, batch files,
 exit codes."""
 import json
+from fractions import Fraction
 
 import pytest
 
+from alexkit import BraidWord, burau
 from alexkit.cli import parse_t_spec, run, selftest_report
-from alexkit.errors import ParseError
+from alexkit.errors import ParseError, RouteDisagreement
 from alexkit.fields import ComplexPoint, GenericTField, RationalPoint
 
 
@@ -21,6 +23,11 @@ def test_parse_t_spec():
     assert isinstance(f, RationalPoint) and f.t == 0.75
     c = parse_t_spec("0.5+0.25i")
     assert isinstance(c, ComplexPoint) and c.t == complex(0.5, 0.25)
+    assert parse_t_spec("2i").t == 2j
+    assert parse_t_spec("-2i").t == -2j
+    assert parse_t_spec("1e-3+2i").t == complex(1e-3, 2)
+    assert parse_t_spec("-0.7+0.4i").t == complex(-0.7, 0.4)
+    assert parse_t_spec("-1/3").t == -Fraction(1, 3)
     with pytest.raises(ParseError):
         parse_t_spec("one")
 
@@ -66,6 +73,14 @@ def test_fiber_verb(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = _run(capsys, ["fiber", "--t", "generic", "2: s1 s1 s1"])
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("spec", ["-1/3", "-0.7+0.4i", "2i", "1e-3+2i"])
+def test_fiber_t_forms(capsys, spec):
+    # a negative spec after --t is its value, not an option
+    code, out, err = _run(capsys, ["fiber", "--t", spec, "2: s1 s1 s1"])
+    assert code == 0, err
+    assert out.strip() == "1"
 
 
 def test_strata_virtual_module(capsys):
@@ -131,3 +146,18 @@ def test_batch_file(tmp_path, capsys):
     assert lines[0]["delta"]["pretty"] == "1 - t + t^2"
     assert "error" in lines[1]
     assert lines[2]["delta"]["pretty"] == "1"
+
+
+def test_route_disagreement(tmp_path, capsys, monkeypatch):
+    # a wrong reduced Burau matrix makes the closure cross-check fail
+    monkeypatch.setattr(burau, "burau_reduced", lambda b: [
+        [2 * x for x in row] for row in burau._identity_rows(b.strands - 1)])
+    with pytest.raises(RouteDisagreement):
+        burau.closure_alexander(BraidWord(2, [1, 1, 1]))
+    code, out, err = _run(capsys, ["closure", "2: s1 s1 s1"])
+    assert code == 1 and out == "" and "cross-check" in err
+    path = tmp_path / "batch.txt"
+    path.write_text("2: s1 s1 s1\n")
+    code, out, _ = _run(capsys, ["closure", "--file", str(path)])
+    assert code == 0
+    assert "cross-check" in json.loads(out)["error"]

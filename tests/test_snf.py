@@ -7,7 +7,8 @@ import sympy
 
 from alexkit.laurent import (LaurentPoly, canonical_poly, exact_div,
                              gcd_laurent, normalize_unit)
-from alexkit.snf import minor_matrix, poly_det, smith_normal_form
+from alexkit.snf import (_unit_presolve, minor_matrix, poly_det,
+                         smith_normal_form)
 from util import random_poly
 
 _t = sympy.symbols("t")
@@ -45,6 +46,24 @@ def _minor_gcd_oracle(rows, size):
     return _unit_norm_sympy(g.as_expr())
 
 
+def _check_against_oracle(rows):
+    """Products d1...dk of the invariant factors are the size-k minor
+    gcds, and the rank is that of the oracle."""
+    nrows, ncols = len(rows), len(rows[0])
+    factors = smith_normal_form(rows)
+    prod = LaurentPoly.one()
+    for size, d in enumerate(factors, start=1):
+        prod = prod * d
+        oracle = _minor_gcd_oracle(rows, size)
+        assert oracle is not None, "SNF rank exceeds oracle rank"
+        got = sympy.Poly(_to_sympy(normalize_unit(prod)), _t).monic()
+        assert got == oracle, "size-%d minor gcd mismatch" % size
+    # ranks agree: all larger minors vanish
+    if len(factors) < min(nrows, ncols):
+        assert _minor_gcd_oracle(rows, len(factors) + 1) is None
+    return factors
+
+
 def test_snf_matches_minor_gcd_oracle():
     rng = random.Random(23)
     for _ in range(12):
@@ -52,17 +71,59 @@ def test_snf_matches_minor_gcd_oracle():
         ncols = rng.randint(1, 5)
         rows = [[random_poly(rng, max_deg=2, min_exp=-1)
                  for _ in range(ncols)] for _ in range(nrows)]
-        factors = smith_normal_form(rows)
-        prod = LaurentPoly.one()
-        for size, d in enumerate(factors, start=1):
-            prod = prod * d
-            oracle = _minor_gcd_oracle(rows, size)
-            assert oracle is not None, "SNF rank exceeds oracle rank"
-            got = sympy.Poly(_to_sympy(normalize_unit(prod)), _t).monic()
-            assert got == oracle, "size-%d minor gcd mismatch" % size
-        # ranks agree: all larger minors vanish
-        if len(factors) < min(nrows, ncols):
-            assert _minor_gcd_oracle(rows, len(factors) + 1) is None
+        _check_against_oracle(rows)
+
+
+def _unit(rng):
+    return LaurentPoly.monomial(rng.randint(-2, 2),
+                                rng.choice([-1, 1]) * rng.randint(1, 3))
+
+
+def _non_unit(rng):
+    while True:
+        p = random_poly(rng, max_deg=2, min_exp=-1)
+        if len(p.coeffs) > 1:
+            return p
+
+
+def test_unit_presolve_matches_minor_gcd_oracle():
+    """Sparse matrices in which every row has a +-c*t^k entry, as Fox rows
+    and tangle gluing rows do; the other entries are not units, so the
+    elimination leaves a dense remainder with fill-in."""
+    rng = random.Random(31)
+    for _ in range(10):
+        nrows = rng.randint(3, 4)
+        ncols = rng.randint(3, 4)
+        rows = []
+        for _ in range(nrows):
+            row = [_non_unit(rng) if rng.random() < 0.7
+                   else LaurentPoly.zero() for _ in range(ncols)]
+            row[rng.randrange(ncols)] = _unit(rng)
+            rows.append(row)
+        _check_against_oracle(rows)
+
+
+def test_unit_presolve_edge_cases():
+    t = LaurentPoly.t()
+    one = LaurentPoly.one()
+    zero = LaurentPoly.zero()
+    # reduced completely: no dense remainder, every factor 1
+    full = [[-one, one - t, t], [zero, t * t, one + t]]
+    assert _unit_presolve(full) == (2, [])
+    assert _check_against_oracle(full) == [one, one]
+    # the second row is a multiple of the first, so a zero block is left
+    a, b = t + one, t * t - one
+    split = [[-one, a, b], [t - one, (one - t) * a, (one - t) * b]]
+    assert _unit_presolve(split) == (1, [])
+    assert _check_against_oracle(split) == [one]
+    # all-zero rows, and a non-unit remainder beside a unit pivot
+    sparse = [[zero, zero, zero], [t, t - one, zero],
+              [zero, zero, zero], [zero, zero, t * t - one]]
+    units, rest = _unit_presolve(sparse)
+    assert units == 1 and len(rest) == 1
+    assert _check_against_oracle(sparse) == [
+        one, canonical_poly(t * t - one)]
+    assert smith_normal_form([[zero, zero], [zero, zero]]) == []
 
 
 def test_snf_divisibility_chain():
