@@ -168,10 +168,6 @@ def mat_identity(field, n):
                 for i in range(n)], n)
 
 
-def mat_zero(field, nrows, ncols):
-    return Mat([[field.zero] * ncols for _ in range(nrows)], ncols)
-
-
 def mat_mul(field, a, b):
     if a.ncols != b.nrows:
         raise ValueError("inner dimension mismatch")

@@ -205,17 +205,6 @@ def _render_terms(terms, varpart):
     return " ".join(pieces)
 
 
-def arith(a, b, op):
-    """Ring operation dispatch: op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % (op,))
-
-
 def normalize_unit(p):
     """Multiply by +-t^k so the minimum exponent is 0 and the constant
     term is positive."""
@@ -307,11 +296,6 @@ def distinct_root_count(p):
     g = gcd_laurent(u, u.derivative())
     sf = exact_div(u, g)
     return sf.max_exp - sf.min_exp
-
-
-def evaluate(p, x):
-    """Module-level evaluation entry point (t must be invertible)."""
-    return p.evaluate(x)
 
 
 class RationalFunction:
@@ -613,11 +597,26 @@ def _mv_join_last(parts, nvars):
 
 
 def mv_exact_div(p, d):
-    """Exact division in the multivariate Laurent ring (raises if inexact)."""
+    """Exact division in the multivariate Laurent ring (raises if inexact).
+
+    Both operands are first shifted so that every variable's minimum
+    exponent is 0.  An exact quotient of two such polynomials is a
+    polynomial, since the lowest power of each variable is additive under
+    multiplication, so ordinary long division finds it; the quotient is
+    then shifted back."""
     if p.is_zero:
         return MultiLaurentPoly.zero(p.nvars)
     if d.is_zero:
         raise ZeroDivisionError("multivariate division by zero")
+    pmin, dmin = p.min_exps(), d.min_exps()
+    q = _mv_poly_div(p.shifted(tuple(-e for e in pmin)),
+                     d.shifted(tuple(-e for e in dmin)))
+    return q.shifted(tuple(a - b for a, b in zip(pmin, dmin)))
+
+
+def _mv_poly_div(p, d):
+    """Exact quotient of polynomials (no negative exponents) by long
+    division in the last variable."""
     if p.nvars == 1:
         return MultiLaurentPoly.from_laurent(
             exact_div(p.to_laurent(), d.to_laurent()))
@@ -630,7 +629,7 @@ def mv_exact_div(p, d):
         dp = max(num)
         if dp < dd:
             raise ValueError("inexact multivariate division")
-        qc = mv_exact_div(num[dp], lead)
+        qc = _mv_poly_div(num[dp], lead)
         quo[dp - dd] = qc
         for e, c in den.items():
             ne = dp - dd + e
@@ -651,7 +650,9 @@ def _mv_content(parts, nvars_inner):
 
 
 def _mv_scale_div(parts, content):
-    return {e: mv_exact_div(c, content) for e, c in parts.items()}
+    """Divide polynomial parts by their normalized content; the quotients
+    are polynomials, so no shift is needed."""
+    return {e: _mv_poly_div(c, content) for e, c in parts.items()}
 
 
 def _mv_pseudo_rem(a, b, nvars):

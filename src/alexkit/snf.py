@@ -1,9 +1,16 @@
-"""Smith normal form over Q[t, t^-1] and small symbolic determinants."""
+"""Smith normal form over Q[t, t^-1], and exact determinants over the
+univariate and multivariate Laurent rings.
+
+The two share no code: the Fox route reduces its matrices with
+`smith_normal_form`, while the Burau and multivariable routes take
+determinants with `poly_det`, so the Fox route checks the other two
+with elimination code they do not use."""
 from __future__ import annotations
 
 import heapq
 
-from .laurent import LaurentPoly, canonical_poly, divmod_laurent
+from .laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
+                      divmod_laurent, exact_div, mv_exact_div)
 
 
 def _find_pivot(m, p, nrows, ncols):
@@ -191,8 +198,21 @@ def smith_normal_form(rows):
 
 
 def poly_det(rows, one):
-    """Determinant by cofactor expansion; `one` is the ring unit of the
-    entry type (used for the empty matrix)."""
+    """Exact determinant of a square LaurentPoly or MultiLaurentPoly
+    matrix; `one` is the ring unit of the entry type (the value for the
+    empty matrix).
+
+    Two phases.  While some entry is a unit c*t^k (a single term), the
+    unit of least Markowitz cost (r - 1)(c - 1) is the pivot: row
+    operations, exact because the pivot is invertible, clear its column,
+    and expanding along that column leaves +-pivot times the determinant
+    of what remains.  The rest is reduced by forward fraction-free
+    elimination (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
+    whose every division by the previous pivot is exact in the Laurent
+    ring.  Units go first because Bareiss alone fills in the sparse Fox
+    minors, and its products grow with every step.
+    """
     n = len(rows)
     if n == 0:
         return one
@@ -200,20 +220,94 @@ def poly_det(rows, one):
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    sign = 1
-    for i in range(n):
-        entry = rows[i][0]
-        if not entry.is_zero:
-            sub = [row[1:] for k, row in enumerate(rows) if k != i]
-            term = entry * poly_det(sub, one)
-            if sign < 0:
-                term = -term
-            total = term if total is None else total + term
-        sign = -sign
-    if total is None:
-        return one - one
-    return total
+    if isinstance(one, MultiLaurentPoly):
+        divide, invert = mv_exact_div, MultiLaurentPoly.term_inverse
+    else:
+        divide, invert = exact_div, lambda p: p ** -1
+    zero = one - one
+    live = [{j: x for j, x in enumerate(row) if not x.is_zero}
+            for row in rows]
+    cols = list(range(n))
+    factor = one
+    while live:
+        counts = {}
+        for row in live:
+            if not row:
+                return zero
+            for j in row:
+                counts[j] = counts.get(j, 0) + 1
+        if len(counts) < len(cols):
+            return zero
+        best = None
+        for i, row in enumerate(live):
+            for j, x in row.items():
+                if len(x.coeffs) == 1:
+                    cost = (len(row) - 1) * (counts[j] - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+        if best is None:
+            break
+        _, i, j = best
+        pivot_row = live.pop(i)
+        pivot = pivot_row.pop(j)
+        k = cols.index(j)
+        del cols[k]
+        factor = factor * pivot if (i + k) % 2 == 0 else -(factor * pivot)
+        inverse = invert(pivot)
+        scaled = {c: x * inverse for c, x in pivot_row.items()}
+        for row in live:
+            f = row.pop(j, None)
+            if f is None:
+                continue
+            for c, x in scaled.items():
+                new = row[c] - f * x if c in row else -(f * x)
+                if new.is_zero:
+                    row.pop(c, None)
+                else:
+                    row[c] = new
+    rest = [[row.get(c, zero) for c in cols] for row in live]
+    return factor * _bareiss_det(rest, one, zero, divide)
+
+
+def _bareiss_det(m, one, zero, divide):
+    """Determinant of a dense square matrix (reduced in place) by forward
+    fraction-free elimination.  Each pivot is a nonzero entry of fewest
+    terms, swapped into place by a row and a column swap."""
+    n = len(m)
+    if n == 0:
+        return one
+    negate = False
+    prev = None
+    for k in range(n - 1):
+        best = None
+        for i in range(k, n):
+            for j in range(k, n):
+                x = m[i][j]
+                if not x.is_zero and (best is None
+                                      or len(x.coeffs) < best[0]):
+                    best = (len(x.coeffs), i, j)
+        if best is None:
+            return zero
+        _, i, j = best
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            negate = not negate
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            negate = not negate
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                x = pivot * row[j]
+                if not f.is_zero and not top[j].is_zero:
+                    x = x - f * top[j]
+                row[j] = x if prev is None else divide(x, prev)
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return -det if negate else det
 
 
 def minor_matrix(rows, drop_row, drop_col):

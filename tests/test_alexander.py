@@ -55,6 +55,16 @@ def test_fox_route_matches_burau_on_six_strand_knot():
     assert knot_delta(braid_closure(b)) == closure_alexander(b)
 
 
+def test_fox_route_matches_burau_on_nine_strand_knot():
+    # a cofactor-expansion determinant of this Burau minor takes about 23 s
+    b = parse_braid("9: S5 S5 S5 s4 S3 s6 S4 s7 S1 S6 S7 S2 S5 s8 s1 s7 "
+                    "s3 s8 S6 s8 s2 s1 S7 s1 s3 s1 s7 s5")
+    delta = closure_alexander(b)
+    assert delta == LaurentPoly({0: 2, 1: -9, 2: 21, 3: -27, 4: 21, 5: -9,
+                                 6: 2})
+    assert knot_delta(braid_closure(b)) == delta
+
+
 def test_trefoil_module_data():
     d = catalog_lookup("trefoil").crossing_list
     data = alexander_data(alexander_matrix(d))

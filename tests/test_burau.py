@@ -10,7 +10,7 @@ from alexkit.burau import (burau_reduced, burau_unreduced,
 from alexkit.codes import BraidWord, braid_closure, catalog_lookup
 from alexkit.errors import EmptyMatrix
 from alexkit.fields import GenericTField, RationalPoint
-from alexkit.laurent import LaurentPoly, normalize_unit
+from alexkit.laurent import LaurentPoly, canonical_poly, normalize_unit
 from alexkit.snf import poly_det
 from util import random_braid
 
@@ -145,11 +145,15 @@ def test_closure_alexander_markov():
 def test_closure_matches_fox_route():
     from alexkit.alexander import knot_delta
     rng = random.Random(101)
-    for _ in range(15):
-        b = random_braid(rng, max_len=6)
+    for _ in range(40):
+        b = random_braid(rng, max_strands=7, max_len=20)
         lhs = closure_alexander(b)
         rhs = knot_delta(braid_closure(b))
-        assert lhs == rhs or (lhs.is_zero and rhs.is_zero), b.render()
+        if b.component_count() > 1:
+            # the Burau minor of a link keeps its integer content, a unit
+            # of Q[t, t^-1] that the Fox route's gcd divides out
+            lhs = canonical_poly(lhs)
+        assert lhs == rhs, b.render()
 
 
 def test_unlink_closure_is_zero():

@@ -123,6 +123,19 @@ def test_selftest(capsys):
     assert all(line.endswith(": ok") for line in out.strip().splitlines())
 
 
+def test_selftest_reports_route_disagreement(capsys, monkeypatch):
+    # a wrong reduced Burau matrix fails the closure cross-check of every
+    # knot; selftest marks that route FAIL instead of raising
+    monkeypatch.setattr(burau, "burau_reduced", lambda b: [
+        [2 * x for x in row] for row in burau._identity_rows(b.strands - 1)])
+    lines, ok = selftest_report(["trefoil", "figure8", "hopf"])
+    assert not ok
+    assert lines == ["trefoil: FAIL (burau)", "figure8: FAIL (burau)",
+                     "hopf: ok"]
+    code, out, _ = _run(capsys, ["selftest"])
+    assert code == 1 and "FAIL (burau)" in out
+
+
 def test_exit_codes(capsys):
     code, _, err = _run(capsys, ["alexander", "not a braid"])
     assert code == 2 and "error:" in err

@@ -11,7 +11,8 @@ from alexkit.errors import NotAUnit, ZeroPolynomial
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly,
                              RationalFunction, canonical_poly,
                              distinct_root_count, divmod_laurent, exact_div,
-                             gcd_laurent, gcd_multivariate, normalize_unit)
+                             gcd_laurent, gcd_multivariate, mv_exact_div,
+                             normalize_unit)
 
 _t = sympy.symbols("t")
 
@@ -167,12 +168,34 @@ def test_gcd_multivariate_matches_sympy():
         assert got_s == want
 
 
-def _random_mv(rng):
+def test_mv_exact_div_laurent_quotients():
+    """(p*q)/q == p in the Laurent ring, with negative exponents in every
+    variable of p and q; an inexact division still raises."""
+    for nvars in (2, 3):
+        t = [MultiLaurentPoly.variable(i, nvars) for i in range(1, nvars + 1)]
+        one = MultiLaurentPoly.one(nvars)
+        for x in t:
+            assert mv_exact_div(x.term_inverse(), one) == x.term_inverse()
+            assert mv_exact_div(one, x) == x.term_inverse()
+    rng = random.Random(17)
+    for _ in range(20):
+        nvars = rng.choice((2, 3))
+        p = _random_mv(rng, nvars, min_exp=-2) * MultiLaurentPoly.monomial(
+            (-1,) * nvars)
+        q = _random_mv(rng, nvars, min_exp=-2) * MultiLaurentPoly.monomial(
+            (-2,) * nvars)
+        assert mv_exact_div(p * q, q) == p
+    t1, t2 = (MultiLaurentPoly.variable(i, 2) for i in (1, 2))
+    with pytest.raises(ValueError):
+        mv_exact_div(t1 + t2, t1 - t2)
+
+
+def _random_mv(rng, nvars=2, min_exp=0):
     coeffs = {}
     for _ in range(rng.randint(1, 3)):
-        exps = (rng.randint(0, 2), rng.randint(0, 2))
+        exps = tuple(rng.randint(min_exp, 2) for _ in range(nvars))
         coeffs[exps] = Fraction(rng.choice([-2, -1, 1, 2]))
-    return MultiLaurentPoly(coeffs, 2)
+    return MultiLaurentPoly(coeffs, nvars)
 
 
 def _mv_unit_norm(expr, x, y):

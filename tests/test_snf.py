@@ -2,11 +2,13 @@
 oracle (sympy), plus determinant checks."""
 import itertools
 import random
+from fractions import Fraction
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from alexkit.laurent import (LaurentPoly, canonical_poly, exact_div,
-                             gcd_laurent, normalize_unit)
+from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
+                             exact_div, gcd_laurent, normalize_unit)
 from alexkit.snf import (_unit_presolve, minor_matrix, poly_det,
                          smith_normal_form)
 from util import random_poly
@@ -147,15 +149,103 @@ def test_snf_known_diagonal():
     assert smith_normal_form([[zero, zero]]) == []
 
 
+def _sympy_det(exprs, gens):
+    """Determinant of a matrix of Laurent polynomials whose exponents are
+    all >= -2, by sympy's own elimination over Q[gens] (independent of
+    poly_det), as {exponent tuple: Fraction}.  Each row is first
+    multiplied by (g1...gs)^2, and the result divided by (g1...gs)^2n."""
+    n = len(exprs)
+    ring = sympy.QQ.poly_ring(*gens)
+    mono = sympy.Mul(*gens) ** 2
+    dm = DomainMatrix([[ring.from_sympy(sympy.expand(mono * x)) for x in r]
+                       for r in exprs], (n, n), ring)
+    return {tuple(e - 2 * n for e in exps):
+            Fraction(int(c.numerator), int(c.denominator))
+            for exps, c in dm.det().items()}
+
+
+def _det_matrix(rng, n, kind, entry, unit, non_unit):
+    """An n x n matrix of one kind: dense; a first column with zeros on
+    top, so that the first pivot is found further down; singular, with a
+    last row that combines the others; all-unit rows; no unit at all."""
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "zeros_on_top":
+        for row in rows[:-1]:
+            row[0] = row[0] - row[0]
+    elif kind == "singular":
+        last = [x - x for x in rows[0]]
+        for row in rows[:-1]:
+            f = entry()
+            last = [a + f * b for a, b in zip(last, row)]
+        rows[-1] = last
+    elif kind == "unit_rows":
+        for row in rows[::2]:
+            row[:] = [unit() for _ in range(n)]
+    elif kind == "no_units":
+        rows = [[non_unit() if rng.random() < 0.8 else entry() - entry()
+                 for _ in range(n)] for _ in range(n)]
+    return rows
+
+
+_DET_KINDS = ("dense", "zeros_on_top", "singular", "unit_rows", "no_units")
+
+
 def test_poly_det_matches_sympy():
     rng = random.Random(9)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        rows = [[random_poly(rng, max_deg=2, min_exp=-1) for _ in range(n)]
-                for _ in range(n)]
-        det = poly_det(rows, LaurentPoly.one())
-        want = sympy.Matrix([[_to_sympy(x) for x in r] for r in rows]).det()
-        assert sympy.simplify(_to_sympy(det) - sympy.cancel(want)) == 0
+    for n in range(1, 7):
+        for kind in _DET_KINDS:
+            rows = _det_matrix(
+                rng, n, kind,
+                lambda: random_poly(rng, max_deg=2, min_exp=-1),
+                lambda: _unit(rng), lambda: _non_unit(rng))
+            det = poly_det(rows, LaurentPoly.one())
+            want = _sympy_det([[_to_sympy(x) for x in r] for r in rows],
+                              [_t])
+            assert {(e,): c for e, c in det.coeffs.items()} == want, (n, kind)
+            if kind == "singular":
+                assert det.is_zero
+
+
+def _mv_entry(rng, nvars, terms):
+    """A polynomial of at most `terms` terms, exponents in -1..1."""
+    return MultiLaurentPoly(
+        {tuple(rng.randint(-1, 1) for _ in range(nvars)):
+         rng.choice([-2, -1, 1, 3]) for _ in range(terms)}, nvars)
+
+
+def _mv_non_unit(rng, nvars):
+    while True:
+        p = _mv_entry(rng, nvars, 3)
+        if len(p.coeffs) > 1:
+            return p
+
+
+def test_poly_det_multivariate_matches_sympy():
+    """Matrices over Q[t1^+-1, .., ts^+-1], s = 2 and 3, with negative
+    exponents, as the multivariable route's Fox minors have; up to 5 x 5
+    in two variables and 4 x 4 in three."""
+    rng = random.Random(41)
+    for nvars in (2, 3):
+        xs = sympy.symbols("x1:%d" % (nvars + 1))
+        for n in range(1, 8 - nvars):
+            for kind in _DET_KINDS:
+                rows = _det_matrix(
+                    rng, n, kind,
+                    lambda: _mv_entry(rng, nvars, rng.randint(0, 3)),
+                    lambda: _mv_entry(rng, nvars, 1),
+                    lambda: _mv_non_unit(rng, nvars))
+                det = poly_det(rows, MultiLaurentPoly.one(nvars))
+                want = _sympy_det([[_mv_to_sympy(x, xs) for x in r]
+                                   for r in rows], xs)
+                assert det.coeffs == want, (nvars, n, kind)
+                if kind == "singular":
+                    assert det.is_zero
+
+
+def _mv_to_sympy(p, xs):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+                for exps, c in p.coeffs.items()), sympy.Integer(0))
 
 
 def test_minor_matrix():
