@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .errors import EmptyMatrix, RouteDisagreement
 from .fields import Mat, kernel_basis
-from .laurent import LaurentPoly, exact_div, normalize_unit
+from .laurent import LaurentPoly, canonical_poly, exact_div, normalize_unit
 from .snf import minor_matrix, poly_det
 from .tangles import Span
 
@@ -145,7 +145,9 @@ def span_trace_fix(m, field):
 def closure_alexander(b, deleted_index=0):
     """Alexander polynomial of the braid closure: the minor of
     Id - Burau(b) with one row and column (default the first) deleted,
-    unit-normalized; cross-checked against the reduced-Burau formula
+    as its canonical associate (a link's minor can carry an integer
+    content, a unit of Q[t,t^-1], which the Fox route's gcd divides out);
+    cross-checked against the reduced-Burau formula
     (1-t) det(Id - reduced) = (1-t^n) * minor when the closure is a knot."""
     m = burau_unreduced(b)
     rows = _id_minus([list(r) for r in m.rows])
@@ -162,6 +164,4 @@ def closure_alexander(b, deleted_index=0):
                 "reduced-Burau cross-check failed for %s" % b.render())
         # the ratio is exactly a unit; verify by exact division
         exact_div(lhs, rhs)
-    if det.is_zero:
-        return LaurentPoly.zero()
-    return normalize_unit(det)
+    return canonical_poly(det)
