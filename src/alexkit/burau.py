@@ -4,8 +4,6 @@ minor of Id - Burau.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import EmptyMatrix, RouteDisagreement
 from .fields import Mat, kernel_basis
 from .laurent import LaurentPoly, canonical_poly, exact_div, normalize_unit
@@ -83,27 +81,16 @@ def burau_unreduced(b):
 
 
 def _reduce_rows(rows, n):
-    """Induced matrix on C^n / <(1,...,1)> in the basis of consecutive
-    differences u_i = e_i - e_{i+1}.
+    """Induced matrix on C^n / <(1,...,1)> in the basis of the classes of
+    e_1, ..., e_{n-1}: entry (i, j) is M_ij - M_nj.
 
-    For v = M u_j write v = sum_i a_i u_i + b*(1,..,1); then the prefix
-    sums of v give a_k + k*b with b = (sum of coordinates)/n.
+    The rows of M sum to 1, so M fixes (1,...,1) and the induced map is
+    well defined; modulo (1,...,1) the class of e_n is -(e_1 + ... +
+    e_{n-1}), which gives the formula.  The entries stay integral.
     """
-    reduced = []
-    for i in range(n - 1):
-        reduced.append([])
-    for j in range(n - 1):
-        v = [rows[i][j] - rows[i][j + 1] for i in range(n)]
-        total = LaurentPoly.zero()
-        for x in v:
-            total = total + x
-        b = total * Fraction(1, n)
-        prefix = LaurentPoly.zero()
-        for k in range(n - 1):
-            prefix = prefix + v[k]
-            a_k = prefix - LaurentPoly.constant(k + 1) * b
-            reduced[k].append(a_k)
-    return reduced
+    last = rows[n - 1]
+    return [[rows[i][j] - last[j] for j in range(n - 1)]
+            for i in range(n - 1)]
 
 
 def burau_reduced(b):

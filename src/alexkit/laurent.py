@@ -1,8 +1,11 @@
 """Exact Laurent-polynomial arithmetic over the rationals.
 
 Univariate polynomials live in Q[t, t^-1], multivariate ones in
-Q[t1^{+-1}, ..., ts^{+-1}].  Coefficients are `fractions.Fraction`;
-the zero polynomial is the empty coefficient map.
+Q[t1^{+-1}, ..., ts^{+-1}].  A coefficient is an `int` when it is
+integral and a `fractions.Fraction` only when it is not, so polynomials
+with integer coefficients, the usual case, never pay for Fraction's gcd
+normalisation; every division of coefficients goes through `_div`.  The
+zero polynomial is the empty coefficient map.
 """
 from __future__ import annotations
 
@@ -16,8 +19,26 @@ def _lcm(a, b):
     return a * b // _int_gcd(a, b)
 
 
+def _coeff(c):
+    """A coefficient in stored form: an int if integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """Exact quotient of two coefficients, in stored form (never a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
 class LaurentPoly:
-    """Laurent polynomial in t, stored as {exponent: Fraction}."""
+    """Laurent polynomial in t, stored as {exponent: coefficient}, each
+    coefficient an int if integral and a Fraction otherwise."""
 
     __slots__ = ("coeffs",)
 
@@ -25,7 +46,7 @@ class LaurentPoly:
         data = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 if c:
                     data[int(e)] = c
         self.coeffs = data
@@ -136,7 +157,7 @@ class LaurentPoly:
             if not self.is_unit():
                 raise ValueError("negative power of a non-unit")
             (e, c), = self.coeffs.items()
-            return LaurentPoly({e * n: Fraction(1) / c ** (-n)})
+            return LaurentPoly({e * n: _div(1, c ** (-n))})
         out = LaurentPoly.one()
         base = self
         while n:
@@ -223,15 +244,21 @@ def canonical_poly(p):
     if p.is_zero:
         return LaurentPoly.zero()
     q = normalize_unit(p)
+    out = LaurentPoly()
+    out.coeffs = _primitive_coeffs(q.coeffs)
+    return out
+
+
+def _primitive_coeffs(coeffs):
+    """The coefficient map scaled by a positive rational to coprime
+    integers, as ints."""
     den = 1
     num = 0
-    for c in q.coeffs.values():
+    for c in coeffs.values():
         den = _lcm(den, c.denominator)
         num = _int_gcd(num, c.numerator)
-    scale = Fraction(den, num)
-    out = LaurentPoly()
-    out.coeffs = {e: c * scale for e, c in q.coeffs.items()}
-    return out
+    return {e: c.numerator * (den // c.denominator) // num
+            for e, c in coeffs.items()}
 
 
 def divmod_laurent(a, b):
@@ -252,11 +279,11 @@ def divmod_laurent(a, b):
     q = {}
     while rem and max(rem) >= db:
         dr = max(rem)
-        factor = rem[dr] / lead
+        factor = _div(rem[dr], lead)
         q[dr - db] = factor
         for e, c in bshift.items():
             ne = dr - db + e
-            nc = rem.get(ne, Fraction(0)) - factor * c
+            nc = rem.get(ne, 0) - factor * c
             if nc:
                 rem[ne] = nc
             else:
@@ -282,6 +309,9 @@ def gcd_laurent(a, b):
         return LaurentPoly.zero()
     while not b.is_zero:
         _, r = divmod_laurent(a, b)
+        # dividing out the content, a unit, keeps the remainders' integers
+        # from growing without bound
+        r.coeffs = _primitive_coeffs(r.coeffs)
         a, b = b, r
     return canonical_poly(a)
 
@@ -312,7 +342,7 @@ class RationalFunction:
             self.num = LaurentPoly.zero()
             self.den = LaurentPoly.one()
             return
-        if den.coeffs == {0: Fraction(1)}:
+        if den.coeffs == {0: 1}:
             self.num = num
             self.den = den
             return
@@ -356,7 +386,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def _den_is_one(self):
-        return self.den.coeffs == {0: Fraction(1)}
+        return self.den.coeffs == {0: 1}
 
     def __add__(self, other):
         if self._den_is_one() and other._den_is_one():
@@ -398,7 +428,9 @@ class RationalFunction:
 
 
 class MultiLaurentPoly:
-    """Laurent polynomial in t1..ts, stored as {exponent tuple: Fraction}."""
+    """Laurent polynomial in t1..ts, stored as {exponent tuple:
+    coefficient}, each coefficient an int if integral and a Fraction
+    otherwise."""
 
     __slots__ = ("coeffs", "nvars")
 
@@ -406,7 +438,7 @@ class MultiLaurentPoly:
         data = {}
         if coeffs:
             for exps, c in coeffs.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nvars:
                     raise ValueError("exponent vector of wrong length")
@@ -477,7 +509,7 @@ class MultiLaurentPoly:
         if not self.is_single_term():
             raise ValueError("not a unit monomial")
         (exps, c), = self.coeffs.items()
-        return MultiLaurentPoly({tuple(-e for e in exps): Fraction(1) / c},
+        return MultiLaurentPoly({tuple(-e for e in exps): _div(1, c)},
                                 self.nvars)
 
     def _check(self, other):
@@ -565,16 +597,11 @@ def mv_normalize(p):
     if p.is_zero:
         return MultiLaurentPoly.zero(p.nvars)
     q = p.shifted(tuple(-m for m in p.min_exps()))
-    den = 1
-    num = 0
-    for c in q.coeffs.values():
-        den = _lcm(den, c.denominator)
-        num = _int_gcd(num, c.numerator)
-    scale = Fraction(den, num)
-    if q.coeffs[max(q.coeffs)] < 0:
-        scale = -scale
+    coeffs = _primitive_coeffs(q.coeffs)
+    if coeffs[max(coeffs)] < 0:
+        coeffs = {e: -c for e, c in coeffs.items()}
     out = MultiLaurentPoly.zero(p.nvars)
-    out.coeffs = {e: c * scale for e, c in q.coeffs.items()}
+    out.coeffs = coeffs
     return out
 
 

@@ -143,9 +143,7 @@ def _unit_presolve(rows):
         if row is None or j not in row or not row[j].is_unit() \
                 or cost != (len(row) - 1) * (len(cols[j]) - 1):
             continue
-        (e, c), = row.pop(j).coeffs.items()
-        inverse = LaurentPoly()
-        inverse.coeffs = {-e: 1 / c}
+        inverse = row.pop(j) ** -1
         pivot_row = {k: x * inverse for k, x in row.items()}
         sparse[i] = None
         for k in pivot_row:

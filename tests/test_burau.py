@@ -99,6 +99,15 @@ def test_reduced_is_multiplicative():
         assert mul == burau_reduced(prod)
 
 
+def test_reduced_entries_are_integral():
+    rng = random.Random(97)
+    for _ in range(30):
+        b = random_braid(rng, max_strands=6, max_len=10)
+        for row in burau_reduced(b):
+            for entry in row:
+                assert all(type(c) is int for c in entry.coeffs.values())
+
+
 def test_det_id_minus_burau_vanishes():
     """(1,...,1) is a fixed line, so Id - Burau is singular identically."""
     rng = random.Random(89)

@@ -12,7 +12,7 @@ from alexkit.laurent import (LaurentPoly, MultiLaurentPoly,
                              RationalFunction, canonical_poly,
                              distinct_root_count, divmod_laurent, exact_div,
                              gcd_laurent, gcd_multivariate, mv_exact_div,
-                             normalize_unit)
+                             mv_normalize, normalize_unit)
 
 _t = sympy.symbols("t")
 
@@ -210,3 +210,64 @@ def _mv_unit_norm(expr, x, y):
 def _mv_to_sympy(p, x, y):
     return sum(sympy.Rational(c.numerator, c.denominator)
                * x ** e[0] * y ** e[1] for e, c in p.coeffs.items())
+
+
+def _all_int(p):
+    return all(type(c) is int for c in p.coeffs.values())
+
+
+def _int_poly(rng):
+    coeffs = {e: rng.randint(-4, 4) for e in range(-2, 3)}
+    p = LaurentPoly(coeffs)
+    return p if not p.is_zero else LaurentPoly.monomial(-1, 3)
+
+
+def _int_mv(rng, nvars):
+    coeffs = {tuple(rng.randint(-2, 2) for _ in range(nvars)):
+              rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)}
+    return MultiLaurentPoly(coeffs, nvars)
+
+
+def test_integer_polynomials_keep_int_coefficients():
+    """Integral inputs give int coefficients through every ring operation,
+    exact division, normalisation and gcd, Fraction never."""
+    rng = random.Random(47)
+    for _ in range(25):
+        a, b, c = (_int_poly(rng) for _ in range(3))
+        assert _all_int(a) and _all_int(b)
+        for p in (a + b, a - b, a * b, exact_div(a * b, b),
+                  canonical_poly(a), gcd_laurent(a * c, b * c)):
+            assert _all_int(p)
+        assert exact_div(a * b, b) == a
+    for _ in range(20):
+        nvars = rng.choice((2, 3))
+        a, b, c = (_int_mv(rng, nvars) for _ in range(3))
+        for p in (a + b, a * b, mv_exact_div(a * b, b), mv_normalize(a),
+                  gcd_multivariate([a * c, b * c])):
+            assert _all_int(p)
+        assert mv_exact_div(a * b, b) == a
+
+
+def test_divmod_by_non_monic_gives_fractions_not_floats():
+    rng = random.Random(53)
+    for _ in range(20):
+        a = _int_poly(rng)
+        b = LaurentPoly({-1: rng.choice([2, 3, -5]), 1: rng.randint(-3, 3),
+                         2: rng.choice([2, 3, 7])})
+        q, r = divmod_laurent(a, b)
+        assert q * b + r == a
+        for c in list(q.coeffs.values()) + list(r.coeffs.values()):
+            assert type(c) in (int, Fraction)
+    q, _ = divmod_laurent(LaurentPoly({0: 1, 3: 1}), LaurentPoly({0: 1, 1: 2}))
+    assert any(type(c) is Fraction for c in q.coeffs.values())
+
+
+def test_integral_fraction_is_stored_as_int():
+    p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 2)})
+    assert type(p.coeffs[0]) is int and p.coeffs[0] == 2
+    assert type(p.coeffs[1]) is Fraction
+    m = MultiLaurentPoly({(1, -1): Fraction(-6, 3)}, 2)
+    assert type(m.coeffs[(1, -1)]) is int and m.coeffs[(1, -1)] == -2
+    assert LaurentPoly.monomial(2, 3) ** -1 == LaurentPoly.monomial(
+        -2, Fraction(1, 3))
+    assert _all_int(LaurentPoly.monomial(2, -1) ** -1)

@@ -102,7 +102,14 @@ def test_unit_presolve_matches_minor_gcd_oracle():
                    else LaurentPoly.zero() for _ in range(ncols)]
             row[rng.randrange(ncols)] = _unit(rng)
             rows.append(row)
-        _check_against_oracle(rows)
+        factors = _check_against_oracle(rows)
+        # pivots c*t^k with |c| > 1 leave true fractions in the remainder,
+        # never floats; the canonical factors are integral
+        _, rest = _unit_presolve(rows)
+        assert not any(isinstance(c, float) for row in rest for x in row
+                       for c in x.coeffs.values())
+        assert all(type(c) is int for d in factors
+                   for c in d.coeffs.values())
 
 
 def test_unit_presolve_edge_cases():
