@@ -4,12 +4,10 @@ multivariable Alexander polynomial.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-import numpy as np
-
-from .errors import (NotAUnit, UnknownGenerator, UseMultivariableRoute,
+from . import fields
+from .errors import (UnknownGenerator, UseMultivariableRoute,
                      UseUnivariateRoute)
+from .fields import ComplexPoint, Mat, RationalPoint, ScalarField
 from .fox import AbelianWeights, fox_derivative_abelianized, reduce_word
 from .laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                       distinct_root_count, gcd_multivariate)
@@ -133,50 +131,24 @@ def alexander_data(m):
 
 
 def fibre_dimension(m, t, tol=1e-9):
-    """dim of the fibre of the Alexander fibration over t: n - rank(m(t))."""
+    """dim of the fibre of the Alexander fibration over t: n - rank(m(t)).
+
+    t is a nonzero rational (exact rank), a complex or float (SVD rank
+    with relative tolerance tol), or a ScalarField; GenericTField gives
+    the generic fibre.  NotAUnit at t = 0; UseMultivariableRoute on a
+    link's matrix, at every t.
+    """
     if m.variable_count != 1:
         raise UseMultivariableRoute("fibre dimensions need a univariate matrix")
-    if t == 0:
-        raise NotAUnit("t = 0 is outside the fibration base")
-    rows = m.univariate_rows()
-    n = m.arc_count
-    if isinstance(t, (complex, float)) and not isinstance(t, bool):
-        if not rows:
-            return n
-        arr = np.array([[entry.evaluate(complex(t)) for entry in row]
-                        for row in rows], dtype=complex)
-        sv = np.linalg.svd(arr, compute_uv=False)
-        if len(sv) == 0 or sv[0] == 0:
-            return n
-        rank = int(np.sum(sv > tol * sv[0]))
-        return n - rank
-    t = Fraction(t)
-    values = [[entry.evaluate(t) for entry in row] for row in rows]
-    return n - _exact_rank(values, n)
-
-
-def _exact_rank(rows, ncols):
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] / lead
-                rows[i] = [x - factor * y
-                           for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    if isinstance(t, ScalarField):
+        field = t
+    elif isinstance(t, (complex, float)) and not isinstance(t, bool):
+        field = ComplexPoint(t, tol)
+    else:
+        field = RationalPoint(t)
+    rows = [[field.from_laurent(entry) for entry in row]
+            for row in m.univariate_rows()]
+    return m.arc_count - fields.mat_rank(field, Mat(rows, m.arc_count))
 
 
 class VirtualClassPoly:

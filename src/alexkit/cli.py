@@ -1,8 +1,11 @@
 """Command-line front end: `alexkit <verb> [--format F] [--t T] [--json]
 [--file P | <inline input>]`.
 
-Exit codes: 0 success, 1 route disagreement, 2 parse/validation errors,
-3 domain errors.
+Each verb but `selftest` is one handler in `_HANDLERS`.  A failure
+prints `error: <message>` on stderr and exits with the error's
+`AlexkitError.exit_code`: 2 for parse and validation errors, 1 when routes
+disagree, 3 for the other domain errors.  Under `--file` each failing line
+prints an error object with its `error_type` and `exit_code` instead.
 """
 from __future__ import annotations
 
@@ -18,21 +21,13 @@ from .alexander import (alexander_data, alexander_matrix, fibre_dimension,
                         ring_presentation, virtual_class)
 from .codes import (braid_closure, catalog_lookup, catalog_names,
                     parse_braid, parse_crossing_list, parse_pd)
-from .errors import (AlexkitError, AmbiguousOrientation, BoundaryMismatch,
-                     DimensionMismatch, EmptyMatrix, NotAUnit, NotFound,
-                     ParseError, RouteDisagreement, UnknownGenerator,
-                     UseMultivariableRoute, UseUnivariateRoute,
-                     ValidationError, ZeroPolynomial)
-from .fields import ComplexPoint, GenericTField, RationalPoint
-from .laurent import LaurentPoly, normalize_unit
-from .tangles import (braid_closure_expr, closed_tangle_delta,
+from .errors import (AlexkitError, ParseError, RouteDisagreement,
+                     UseMultivariableRoute)
+from .fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
+                     mat_identity)
+from .laurent import normalize_unit
+from .tangles import (Span, braid_closure_expr, closed_tangle_delta,
                       evaluate_tangle, parse_tangle)
-
-_PARSE_ERRORS = (ParseError, ValidationError, AmbiguousOrientation,
-                 BoundaryMismatch, NotFound)
-_DOMAIN_ERRORS = (NotAUnit, ZeroPolynomial, UnknownGenerator,
-                  UseMultivariableRoute, UseUnivariateRoute,
-                  DimensionMismatch, EmptyMatrix)
 
 _NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # "a+bi", "a-bi" or "bi"; a real part must be followed by the sign of b
@@ -41,12 +36,6 @@ _COMPLEX_RE = re.compile(
 
 # a value after --t that argparse would take for an option
 _NEGATIVE_T_RE = re.compile(r"-[0-9.]")
-
-_VERBS = ("alexander", "burau", "fiber", "strata", "virtual-class",
-          "module", "ring", "span", "closure", "catalog", "selftest")
-
-_DIAGRAM_FORMATS = ("braid", "xcode", "pd")
-
 
 def parse_t_spec(text):
     """"generic" | rational "p/q" | complex "a+bi"."""
@@ -90,118 +79,117 @@ def _mv_poly_json(p):
     }
 
 
-def _delta_result(verb, text, fmt):
+def _alexander(text, fmt, field):
     diagram = _load_diagram(fmt, text)
     if diagram.component_count == 1:
         delta = knot_delta(diagram)
-        return {"verb": verb, "input": text, "delta": _poly_json(delta)}, \
-            delta.render()
+        return {"delta": _poly_json(delta)}, delta.render()
     mv = multivariable_alexander(diagram)
-    return {"verb": verb, "input": text, "delta": _mv_poly_json(mv)}, \
-        mv.render()
+    return {"delta": _mv_poly_json(mv)}, mv.render()
+
+
+def _burau(text, fmt, field):
+    m = burau_mod.burau_unreduced(parse_braid(text))
+    pretty = [[entry.render() for entry in row] for row in m.rows]
+    obj = {"matrix": [[_poly_json(entry)["coeffs"] for entry in row]
+                      for row in m.rows]}
+    return obj, "\n".join("[%s]" % ", ".join(row) for row in pretty)
+
+
+def _fiber(text, fmt, field):
+    dim = fibre_dimension(alexander_matrix(_load_diagram(fmt, text)), field)
+    return {"fiber_dim": dim}, str(dim)
+
+
+def _knot_data(verb, text, fmt):
+    diagram = _load_diagram(fmt, text)
+    if diagram.component_count != 1:
+        raise UseMultivariableRoute("verb %r needs a knot" % verb)
+    return alexander_data(alexander_matrix(diagram))
+
+
+def _strata(text, fmt, field):
+    data = _knot_data("strata", text, fmt)
+    lines = ["S^%d = %d" % (k, c) for k, c in data.strata]
+    return ({"strata": [[k, c] for k, c in data.strata]},
+            "\n".join(lines) if lines else "none")
+
+
+def _virtual_class(text, fmt, field):
+    vc = virtual_class(_knot_data("virtual-class", text, fmt))
+    return ({"virtual_class": [[e, c] for e, c in sorted(vc.coeffs.items())]},
+            vc.render())
+
+
+def _module(text, fmt, field):
+    data = _knot_data("module", text, fmt)
+    obj = {"delta_k": [_poly_json(p) for p in data.delta_k],
+           "invariant_factors": [_poly_json(p)
+                                 for p in data.invariant_factors]}
+    lines = ["d%d = %s" % (i, p.render())
+             for i, p in enumerate(data.invariant_factors, start=1)]
+    return obj, "\n".join(lines) if lines else "none"
+
+
+def _ring(text, fmt, field):
+    pres = ring_presentation(_load_diagram(fmt, text))
+    return ({"generators": pres.generator_count,
+             "relations": [pres.render_relation(row)
+                           for row in pres.relations]},
+            pres.render())
+
+
+def _span(text, fmt, field):
+    if fmt == "dsl":
+        span = evaluate_tangle(parse_tangle(text), field)
+    elif fmt == "braid":
+        b = parse_braid(text)
+        m = burau_mod.burau_unreduced(b)
+        rows = [[field.from_laurent(entry) for entry in row]
+                for row in m.rows]
+        span = Span(field, b.strands, b.strands, b.strands,
+                    mat_identity(field, b.strands), Mat(rows, b.strands))
+    else:
+        raise ParseError("span needs --format dsl or braid")
+    return ({"span": {"src": span.src_dim, "mid": span.mid_dim,
+                      "tgt": span.tgt_dim}},
+            "src=%d mid=%d tgt=%d" % (span.src_dim, span.mid_dim,
+                                      span.tgt_dim))
+
+
+def _closure(text, fmt, field):
+    delta = burau_mod.closure_alexander(parse_braid(text))
+    return {"delta": _poly_json(delta)}, delta.render()
+
+
+def _catalog(text, fmt, field):
+    entries = [catalog_lookup(n) for n in ([text] if text
+                                           else catalog_names())]
+    obj = {"entries": [{"name": e.name, "braid": e.braid.render(),
+                        "delta": _poly_json(e.delta)} for e in entries]}
+    return obj, "\n".join("%s: braid=%s delta=%s"
+                          % (e.name, e.braid.render(), e.delta.render())
+                          for e in entries)
+
+
+# verb -> handler(text, fmt, field) -> (JSON fields, text output).  The
+# handlers look up the library functions when called, so rebinding a
+# module attribute (as a tracer does) reaches them.
+_HANDLERS = {
+    "alexander": _alexander, "burau": _burau, "fiber": _fiber,
+    "strata": _strata, "virtual-class": _virtual_class, "module": _module,
+    "ring": _ring, "span": _span, "closure": _closure, "catalog": _catalog,
+}
+
+_VERBS = tuple(_HANDLERS) + ("selftest",)
 
 
 def _run_verb(verb, text, fmt, field):
     """Returns (json_object, text_output)."""
-    if verb == "alexander":
-        return _delta_result(verb, text, fmt)
-
-    if verb == "closure":
-        delta = burau_mod.closure_alexander(parse_braid(text))
-        return {"verb": verb, "input": text,
-                "delta": _poly_json(delta)}, delta.render()
-
-    if verb == "burau":
-        m = burau_mod.burau_unreduced(parse_braid(text))
-        pretty = [[entry.render() for entry in row] for row in m.rows]
-        obj = {"verb": verb, "input": text,
-               "matrix": [[_poly_json(entry)["coeffs"] for entry in row]
-                          for row in m.rows]}
-        return obj, "\n".join("[%s]" % ", ".join(row) for row in pretty)
-
-    if verb == "fiber":
-        diagram = _load_diagram(fmt, text)
-        m = alexander_matrix(diagram)
-        if isinstance(field, GenericTField):
-            from .fields import Mat, mat_rank
-            from .laurent import RationalFunction
-            rows = [[RationalFunction(entry.to_laurent())
-                     for entry in row] for row in m.rows]
-            rank = mat_rank(field, Mat(rows, m.arc_count))
-            dim = m.arc_count - rank
-        elif isinstance(field, RationalPoint):
-            dim = fibre_dimension(m, field.t)
-        else:
-            dim = fibre_dimension(m, field.t, tol=field.tol)
-        return {"verb": verb, "input": text, "fiber_dim": dim}, str(dim)
-
-    if verb in ("strata", "virtual-class", "module"):
-        diagram = _load_diagram(fmt, text)
-        if diagram.component_count != 1:
-            raise UseMultivariableRoute("verb %r needs a knot" % verb)
-        data = alexander_data(alexander_matrix(diagram))
-        if verb == "strata":
-            obj = {"verb": verb, "input": text,
-                   "strata": [[k, c] for k, c in data.strata]}
-            lines = ["S^%d = %d" % (k, c) for k, c in data.strata]
-            return obj, "\n".join(lines) if lines else "none"
-        if verb == "virtual-class":
-            vc = virtual_class(data)
-            obj = {"verb": verb, "input": text,
-                   "virtual_class": [[e, c]
-                                     for e, c in sorted(vc.coeffs.items())]}
-            return obj, vc.render()
-        obj = {"verb": verb, "input": text,
-               "delta_k": [_poly_json(p) for p in data.delta_k],
-               "invariant_factors": [_poly_json(p)
-                                     for p in data.invariant_factors]}
-        lines = ["d%d = %s" % (i, p.render())
-                 for i, p in enumerate(data.invariant_factors, start=1)]
-        return obj, "\n".join(lines) if lines else "none"
-
-    if verb == "ring":
-        diagram = _load_diagram(fmt, text)
-        pres = ring_presentation(diagram)
-        obj = {"verb": verb, "input": text,
-               "generators": pres.generator_count,
-               "relations": [pres.render_relation(row)
-                             for row in pres.relations]}
-        return obj, pres.render()
-
-    if verb == "span":
-        if fmt == "dsl":
-            span = evaluate_tangle(parse_tangle(text), field)
-        elif fmt == "braid":
-            b = parse_braid(text)
-            m = burau_mod.burau_unreduced(b)
-            from .fields import Mat, mat_identity
-            rows = [[field.from_laurent(entry) for entry in row]
-                    for row in m.rows]
-            from .tangles import Span
-            span = Span(field, b.strands, b.strands, b.strands,
-                        mat_identity(field, b.strands),
-                        Mat(rows, b.strands))
-        else:
-            raise ParseError("span needs --format dsl or braid")
-        obj = {"verb": verb, "input": text,
-               "span": {"src": span.src_dim, "mid": span.mid_dim,
-                        "tgt": span.tgt_dim}}
-        return obj, "src=%d mid=%d tgt=%d" % (span.src_dim, span.mid_dim,
-                                              span.tgt_dim)
-
-    if verb == "catalog":
-        names = [text] if text else catalog_names()
-        entries = [catalog_lookup(n) for n in names]
-        obj = {"verb": verb, "input": text or "",
-               "entries": [{"name": e.name, "braid": e.braid.render(),
-                            "delta": _poly_json(e.delta)}
-                           for e in entries]}
-        lines = ["%s: braid=%s delta=%s"
-                 % (e.name, e.braid.render(), e.delta.render())
-                 for e in entries]
-        return obj, "\n".join(lines)
-
-    raise ParseError("unknown verb %r" % verb)
+    if verb not in _HANDLERS:
+        raise ParseError("unknown verb %r" % verb)
+    obj, out = _HANDLERS[verb](text, fmt, field)
+    return {"verb": verb, "input": text or "", **obj}, out
 
 
 def selftest_report(names=None):
@@ -282,12 +270,9 @@ def run(argv):
 
     try:
         field = parse_t_spec(args.t_spec)
-    except _PARSE_ERRORS as exc:
+    except AlexkitError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        return exc.exit_code
 
     if args.verb == "selftest":
         lines, ok = selftest_report()
@@ -311,7 +296,9 @@ def run(argv):
                 print(_emit_json(obj))
             except AlexkitError as exc:
                 print(_emit_json({"verb": args.verb, "input": stripped,
-                                  "error": str(exc)}))
+                                  "error": str(exc),
+                                  "error_type": type(exc).__name__,
+                                  "exit_code": exc.exit_code}))
         return 0
 
     if args.input is None and args.verb != "catalog":
@@ -320,15 +307,9 @@ def run(argv):
 
     try:
         obj, text = _run_verb(args.verb, args.input, args.fmt, field)
-    except _PARSE_ERRORS as exc:
+    except AlexkitError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except RouteDisagreement as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return exc.exit_code
     print(_emit_json(obj) if args.json else text)
     return 0
 

@@ -107,6 +107,29 @@ def parse_braid(text):
     return BraidWord(strands, letters)
 
 
+def label_classes(size, pairs):
+    """Union-find over the elements 1..size joined by `pairs`: returns
+    {element: class label}, classes numbered 1, 2, ... in the order of
+    their least members."""
+    parent = list(range(size + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    labels = {}
+    order = {}
+    for x in range(1, size + 1):
+        labels[x] = order.setdefault(find(x), len(order) + 1)
+    return labels
+
+
 class Crossing:
     """One crossing record (under_in, over, under_out, sign)."""
 
@@ -167,29 +190,8 @@ class CrossingList:
                 raise ValidationError("arc %d has a loose end" % arc)
         self.arc_count = arc_count
         self.crossings = crossings
-        self.components = self._label_components()
-
-    def _label_components(self):
-        parent = list(range(self.arc_count + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for c in self.crossings:
-            ra, rb = find(c.under_in), find(c.under_out)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        labels = {}
-        order = {}
-        for arc in range(1, self.arc_count + 1):
-            root = find(arc)
-            if root not in order:
-                order[root] = len(order) + 1
-            labels[arc] = order[root]
-        return labels
+        self.components = label_classes(
+            arc_count, [(c.under_in, c.under_out) for c in crossings])
 
     @property
     def component_count(self):
@@ -275,14 +277,6 @@ def parse_pd(text):
         if counts.get(lab, 0) != 2:
             raise ValidationError("PD label %d appears %d times, expected 2"
                                   % (lab, counts.get(lab, 0)))
-    parent = list(range(labels + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     signs = []
     for a, b, c, d in tuples:
         forward = (b % labels) + 1 == d
@@ -291,18 +285,10 @@ def parse_pd(text):
             raise AmbiguousOrientation(
                 "cannot orient PD crossing X[%d,%d,%d,%d]" % (a, b, c, d))
         signs.append(1 if forward else -1)
-        ra, rb = find(b), find(d)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    arc_of = {}
-    for lab in range(1, labels + 1):
-        root = find(lab)
-        if root not in arc_of:
-            arc_of[root] = len(arc_of) + 1
-    crossings = [Crossing(arc_of[find(a)], arc_of[find(b)],
-                          arc_of[find(c)], sign)
+    arc_of = label_classes(labels, [(b, d) for _, b, _, d in tuples])
+    crossings = [Crossing(arc_of[a], arc_of[b], arc_of[c], sign)
                  for (a, b, c, d), sign in zip(tuples, signs)]
-    return CrossingList(len(arc_of), crossings)
+    return CrossingList(max(arc_of.values()), crossings)
 
 
 def braid_closure(b):
@@ -328,27 +314,10 @@ def braid_closure(b):
         else:
             raw.append((a1, a2, fresh, -1))
             arcs[i], arcs[i + 1] = a2, fresh
-    parent = list(range(next_arc))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p in range(n):
-        ra, rb = find(arcs[p]), find(start[p])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    relabel = {}
-    for a in range(1, next_arc):
-        root = find(a)
-        if root not in relabel:
-            relabel[root] = len(relabel) + 1
-    crossings = [Crossing(relabel[find(i)], relabel[find(j)],
-                          relabel[find(k)], sign)
+    relabel = label_classes(next_arc - 1, zip(arcs, start))
+    crossings = [Crossing(relabel[i], relabel[j], relabel[k], sign)
                  for i, j, k, sign in raw]
-    return CrossingList(len(relabel), crossings)
+    return CrossingList(max(relabel.values()), crossings)
 
 
 class CatalogEntry:

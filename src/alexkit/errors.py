@@ -2,7 +2,13 @@
 
 
 class AlexkitError(Exception):
-    """Base class for all errors raised by alexkit."""
+    """Base class for all errors raised by alexkit.
+
+    `exit_code` is the command line's exit status for the error: 2 for
+    malformed or invalid input, 1 when two routes disagree, 3 otherwise.
+    """
+
+    exit_code = 3
 
 
 class ZeroPolynomial(AlexkitError):
@@ -20,6 +26,8 @@ class UnknownGenerator(AlexkitError):
 class ParseError(AlexkitError):
     """Malformed textual input; carries the offending position."""
 
+    exit_code = 2
+
     def __init__(self, message, position=None):
         if position is not None:
             message = "%s (at position %s)" % (message, position)
@@ -30,6 +38,8 @@ class ParseError(AlexkitError):
 class ValidationError(AlexkitError):
     """Structurally invalid diagram data."""
 
+    exit_code = 2
+
 
 class AmbiguousOrientation(ValidationError):
     """A PD crossing satisfies neither (or both) orientation conditions."""
@@ -38,6 +48,8 @@ class AmbiguousOrientation(ValidationError):
 class NotFound(AlexkitError):
     """Catalog lookup for an unknown name."""
 
+    exit_code = 2
+
 
 class DimensionMismatch(AlexkitError):
     """Span or matrix shapes are incompatible."""
@@ -45,6 +57,8 @@ class DimensionMismatch(AlexkitError):
 
 class BoundaryMismatch(AlexkitError):
     """Tangle composition with unequal boundary objects."""
+
+    exit_code = 2
 
     def __init__(self, position, expected, found):
         super().__init__(
@@ -66,6 +80,8 @@ class UseUnivariateRoute(AlexkitError):
 
 class RouteDisagreement(AlexkitError):
     """Two routes that compute the same invariant gave different values."""
+
+    exit_code = 1
 
 
 class EmptyMatrix(AlexkitError):

@@ -12,26 +12,13 @@ from .laurent import LaurentPoly, RationalFunction, exact_div, gcd_laurent
 
 
 class ScalarField:
-    """Field of scalars at which a tangle or braid is evaluated."""
+    """Field of scalars at which a tangle or braid is evaluated; the
+    shared bodies serve the fixed points t, whose scalars are numbers."""
 
     exact = True
 
-    def is_zero(self, x):
-        return x == self.zero
-
-    def describe(self):
-        raise NotImplementedError
-
-
-class GenericTField(ScalarField):
-    """Rational functions in t: the generic fibre."""
-
-    def __init__(self):
-        self.zero = RationalFunction.zero()
-        self.one = RationalFunction.one()
-
     def t_value(self):
-        return RationalFunction.t()
+        return self.t
 
     def add(self, a, b):
         return a + b
@@ -47,6 +34,26 @@ class GenericTField(ScalarField):
 
     def neg(self, a):
         return -a
+
+    def is_zero(self, x):
+        return x == self.zero
+
+    def from_laurent(self, p):
+        return p.evaluate(self.t)
+
+    def describe(self):
+        return "t=%s" % self.t
+
+
+class GenericTField(ScalarField):
+    """Rational functions in t: the generic fibre."""
+
+    def __init__(self):
+        self.zero = RationalFunction.zero()
+        self.one = RationalFunction.one()
+
+    def t_value(self):
+        return RationalFunction.t()
 
     def is_zero(self, x):
         return x.is_zero
@@ -69,30 +76,6 @@ class RationalPoint(ScalarField):
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
-    def t_value(self):
-        return self.t
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def neg(self, a):
-        return -a
-
-    def from_laurent(self, p):
-        return p.evaluate(self.t)
-
-    def describe(self):
-        return "t=%s" % self.t
-
 
 class ComplexPoint(ScalarField):
     """Floating-point evaluation at a fixed nonzero complex t."""
@@ -108,32 +91,8 @@ class ComplexPoint(ScalarField):
         self.zero = 0j
         self.one = 1 + 0j
 
-    def t_value(self):
-        return self.t
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def neg(self, a):
-        return -a
-
     def is_zero(self, x):
         return abs(x) <= self.tol
-
-    def from_laurent(self, p):
-        return p.evaluate(self.t)
-
-    def describe(self):
-        return "t=%s" % self.t
 
 
 class Mat:
@@ -184,11 +143,7 @@ def mat_mul(field, a, b):
 
 
 def _to_numpy(m):
-    arr = np.zeros((m.nrows, m.ncols), dtype=complex)
-    for i, row in enumerate(m.rows):
-        for j, x in enumerate(row):
-            arr[i, j] = complex(x)
-    return arr
+    return np.array(m.rows, dtype=complex).reshape(m.nrows, m.ncols)
 
 
 def _clear_denominators(m):
@@ -294,6 +249,8 @@ def _rref(field, m):
 
 
 def mat_rank(field, m):
+    """Rank by SVD on inexact fields, by RREF at generic t, and by
+    forward elimination (no back-substitution) at a fixed exact t."""
     if not field.exact:
         arr = _to_numpy(m)
         if arr.size == 0:
@@ -302,8 +259,29 @@ def mat_rank(field, m):
         if len(sv) == 0 or sv[0] == 0:
             return 0
         return int(np.sum(sv > field.tol * sv[0]))
-    _, pivots = _rref(field, m)
-    return len(pivots)
+    if isinstance(field, GenericTField):
+        return len(_rref_generic(field, m)[1])
+    rows = [list(r) for r in m.rows]
+    rank = 0
+    for col in range(m.ncols):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if not field.is_zero(rows[i][col]):
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if not field.is_zero(rows[i][col]):
+                factor = field.div(rows[i][col], lead[col])
+                rows[i] = [field.sub(x, field.mul(factor, y))
+                           for x, y in zip(rows[i], lead)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def kernel_basis(field, m):

@@ -4,6 +4,7 @@ linear-system route over the same diagrams, and span equivalence.
 """
 from __future__ import annotations
 
+from .codes import label_classes
 from .errors import BoundaryMismatch, DimensionMismatch, ParseError
 from .fields import (Mat, column_space_equal, kernel_basis, mat_identity,
                      mat_mul)
@@ -276,31 +277,23 @@ def spans_equivalent(s1, s2):
 
 class BoundarySystem:
     """Whole-diagram linear system: one variable per arc, one crossing
-    equation per X generator, one gluing equation per composition seam."""
+    equation per X generator, one gluing equation per composition seam;
+    `pairs` are the variables that lie on one strand."""
 
-    __slots__ = ("nvars", "equations", "bottom", "top", "parent")
+    __slots__ = ("nvars", "equations", "bottom", "top", "pairs")
 
-    def __init__(self, nvars, equations, bottom, top, parent):
+    def __init__(self, nvars, equations, bottom, top, pairs):
         self.nvars = nvars
         self.equations = equations
         self.bottom = bottom
         self.top = top
-        self.parent = parent
+        self.pairs = pairs
 
     def circle_count(self):
         """Connected components of the underlying strands."""
-        roots = set()
-        parent = self.parent
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for v in range(self.nvars):
-            roots.add(find(v))
-        return len(roots)
+        labels = label_classes(self.nvars,
+                               [(a + 1, b + 1) for a, b in self.pairs])
+        return max(labels.values(), default=0)
 
     def matrix_rows(self):
         """Equations as LaurentPoly coefficient rows."""
@@ -320,23 +313,13 @@ def tangle_system(expr):
     one = LaurentPoly.one()
     tinv = LaurentPoly.monomial(-1)
     equations = []
-    parent = []
+    pairs = []
+    nvars = 0
 
     def fresh():
-        v = len(parent)
-        parent.append(v)
-        return v
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        nonlocal nvars
+        nvars += 1
+        return nvars - 1
 
     def walk(node):
         if isinstance(node, Gen):
@@ -347,12 +330,12 @@ def tangle_system(expr):
             if name == "xp":
                 a1, a2, c = fresh(), fresh(), fresh()
                 equations.append({a2: t, a1: one - t, c: -one})
-                union(a2, c)
+                pairs.append((a2, c))
                 return [a1, a2], [c, a1]
             if name == "xm":
                 a1, a2, c = fresh(), fresh(), fresh()
                 equations.append({a1: tinv, a2: one - tinv, c: -one})
-                union(a1, c)
+                pairs.append((a1, c))
                 return [a1, a2], [a2, c]
             if name in ("ev+-", "ev-+"):
                 v = fresh()
@@ -367,7 +350,7 @@ def tangle_system(expr):
             for x, y in zip(t1, b2):
                 if x != y:
                     equations.append({x: one, y: -one})
-                    union(x, y)
+                    pairs.append((x, y))
             return b1, t2
         if isinstance(node, Tensor):
             bl, tl = walk(node.left)
@@ -376,7 +359,7 @@ def tangle_system(expr):
         raise TypeError("not a tangle expression: %r" % (node,))
 
     bottom, top = walk(expr)
-    return BoundarySystem(len(parent), equations, bottom, top, parent)
+    return BoundarySystem(nvars, equations, bottom, top, pairs)
 
 
 def tangle_linear_system(expr, field):

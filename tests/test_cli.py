@@ -1,11 +1,12 @@
 """Command-line interface: verbs, formats, JSON output, batch files,
 exit codes."""
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
 
-from alexkit import BraidWord, burau
+from alexkit import BraidWord, burau, errors
 from alexkit.cli import parse_t_spec, run, selftest_report
 from alexkit.errors import ParseError, RouteDisagreement
 from alexkit.fields import ComplexPoint, GenericTField, RationalPoint
@@ -73,6 +74,25 @@ def test_fiber_verb(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = _run(capsys, ["fiber", "--t", "generic", "2: s1 s1 s1"])
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("spec", ["generic", "2", "-1/3", "0.3+0.9i"])
+def test_fiber_on_link_is_typed_error(capsys, spec):
+    code, out, err = _run(capsys, ["fiber", "--t", spec,
+                                   "2: s1 s1 s1 s1 s1 s1"])
+    assert code == 3 and out == ""
+    assert err == "error: fibre dimensions need a univariate matrix\n"
+
+
+def test_fiber_batch_survives_link(tmp_path, capsys):
+    path = tmp_path / "batch.txt"
+    path.write_text("2: s1 s1 s1\n2: s1 s1 s1 s1 s1 s1\n3: s1 S2 s1 S2\n")
+    code, out, _ = _run(capsys, ["fiber", "--file", str(path)])
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [line.get("fiber_dim") for line in lines] == [1, None, 1]
+    assert lines[1]["error_type"] == "UseMultivariableRoute"
+    assert lines[1]["exit_code"] == 3
 
 
 @pytest.mark.parametrize("spec", ["-1/3", "-0.7+0.4i", "2i", "1e-3+2i"])
@@ -149,6 +169,19 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+_EXIT_2 = ("ParseError", "ValidationError", "AmbiguousOrientation",
+           "BoundaryMismatch", "NotFound")
+
+
+@pytest.mark.parametrize("cls", [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.AlexkitError)], ids=lambda cls: cls.__name__)
+def test_error_exit_codes(cls):
+    expected = (2 if cls.__name__ in _EXIT_2
+                else 1 if cls is errors.RouteDisagreement else 3)
+    assert cls.exit_code == expected
+
+
 def test_batch_file(tmp_path, capsys):
     path = tmp_path / "batch.txt"
     path.write_text("2: s1 s1 s1\n# comment line\n\nbad input\n1:\n")
@@ -158,6 +191,8 @@ def test_batch_file(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[0]["delta"]["pretty"] == "1 - t + t^2"
     assert "error" in lines[1]
+    assert lines[1]["error_type"] == "ParseError"
+    assert lines[1]["exit_code"] == 2
     assert lines[2]["delta"]["pretty"] == "1"
 
 
@@ -174,3 +209,5 @@ def test_route_disagreement(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, ["closure", "--file", str(path)])
     assert code == 0
     assert "cross-check" in json.loads(out)["error"]
+    assert json.loads(out)["error_type"] == "RouteDisagreement"
+    assert json.loads(out)["exit_code"] == 1

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from alexkit.codes import (BraidWord, Crossing, CrossingList, braid_closure,
-                           catalog_lookup, catalog_names, parse_braid,
-                           parse_crossing_list, parse_pd)
+                           catalog_lookup, catalog_names, label_classes,
+                           parse_braid, parse_crossing_list, parse_pd)
 from alexkit.alexander import knot_delta
 from alexkit.errors import (AmbiguousOrientation, NotFound, ParseError,
                             ValidationError)
@@ -41,6 +41,12 @@ def test_permutation_and_components():
     assert BraidWord(3, [1, 1]).component_count() == 3
     assert BraidWord(2, [1, 1]).component_count() == 2
     assert BraidWord(2, []).component_count() == 2
+
+
+def test_label_classes_numbers_by_least_member():
+    assert label_classes(6, [(5, 2), (6, 4), (4, 3)]) == {
+        1: 1, 2: 2, 3: 3, 4: 3, 5: 2, 6: 3}
+    assert label_classes(0, []) == {}
 
 
 def test_crossing_list_validation():
