@@ -97,8 +97,7 @@ def burau_reduced(b):
     """Reduced Burau matrix ((n-1) x (n-1) rows of LaurentPoly)."""
     if b.strands < 2:
         raise EmptyMatrix("reduced Burau needs at least 2 strands")
-    m = burau_unreduced(b)
-    return _reduce_rows([list(r) for r in m.rows], b.strands)
+    return _reduce_rows(burau_unreduced(b).rows, b.strands)
 
 
 def _id_minus(rows):
@@ -137,13 +136,12 @@ def closure_alexander(b, deleted_index=0):
     cross-checked against the reduced-Burau formula
     (1-t) det(Id - reduced) = (1-t^n) * minor when the closure is a knot."""
     m = burau_unreduced(b)
-    rows = _id_minus([list(r) for r in m.rows])
-    sub = minor_matrix(rows, deleted_index, deleted_index)
+    sub = minor_matrix(_id_minus(m.rows), deleted_index, deleted_index)
     det = poly_det(sub, LaurentPoly.one())
     if b.strands >= 2 and b.component_count() == 1:
         one = LaurentPoly.one()
         t = LaurentPoly.t()
-        red_det = poly_det(_id_minus(burau_reduced(b)), one)
+        red_det = poly_det(_id_minus(_reduce_rows(m.rows, b.strands)), one)
         lhs = (one - t) * red_det
         rhs = (one - t ** b.strands) * det
         if normalize_unit(lhs) != normalize_unit(rhs):

@@ -1,8 +1,15 @@
 """Scalar fields (generic t, fixed rational t, fixed complex t) and the
 matrix routines used by span composition: kernels, ranks, column spaces.
+
+Exact kernels and ranks use one fraction-free elimination: each exact field
+scales its rows into an integral ring, Z at a rational t and Q[t^+-1] at
+generic t, and normalises the pivot rows into the field at the end.  The
+SVD runs only at complex t.
 """
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +20,11 @@ from .laurent import LaurentPoly, RationalFunction, exact_div, gcd_laurent
 
 class ScalarField:
     """Field of scalars at which a tangle or braid is evaluated; the
-    shared bodies serve the fixed points t, whose scalars are numbers."""
+    shared bodies serve the fixed points t, whose scalars are numbers.
+
+    An exact field also maps a Mat to integral rows, returning them with
+    the exact division of that ring (`integral_rows`), and turns a ratio
+    of two ring elements back into a scalar (`quotient`)."""
 
     exact = True
 
@@ -35,9 +46,6 @@ class ScalarField:
     def neg(self, a):
         return -a
 
-    def is_zero(self, x):
-        return x == self.zero
-
     def from_laurent(self, p):
         return p.evaluate(self.t)
 
@@ -55,11 +63,23 @@ class GenericTField(ScalarField):
     def t_value(self):
         return RationalFunction.t()
 
-    def is_zero(self, x):
-        return x.is_zero
-
     def from_laurent(self, p):
         return RationalFunction(p)
+
+    def integral_rows(self, m):
+        """Each row times the lcm of its denominators: rows over Q[t^+-1]."""
+        one = LaurentPoly.one()
+        out = []
+        for row in m.rows:
+            den = one
+            for x in row:
+                if x.den != den and x.den != one:
+                    den = exact_div(den * x.den, gcd_laurent(den, x.den))
+            out.append([x.num * exact_div(den, x.den) for x in row])
+        return out, exact_div
+
+    def quotient(self, a, b):
+        return RationalFunction(a, b)
 
     def describe(self):
         return "generic"
@@ -76,6 +96,17 @@ class RationalPoint(ScalarField):
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
+    def integral_rows(self, m):
+        """Each row times the lcm of its denominators: rows of ints."""
+        out = []
+        for row in m.rows:
+            den = math.lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (den // x.denominator) for x in row])
+        return out, operator.floordiv
+
+    def quotient(self, a, b):
+        return Fraction(a, b)
+
 
 class ComplexPoint(ScalarField):
     """Floating-point evaluation at a fixed nonzero complex t."""
@@ -90,9 +121,6 @@ class ComplexPoint(ScalarField):
         self.tol = tol
         self.zero = 0j
         self.one = 1 + 0j
-
-    def is_zero(self, x):
-        return abs(x) <= self.tol
 
 
 class Mat:
@@ -146,191 +174,100 @@ def _to_numpy(m):
     return np.array(m.rows, dtype=complex).reshape(m.nrows, m.ncols)
 
 
-def _clear_denominators(m):
-    """RationalFunction rows -> LaurentPoly rows (row-wise scaling)."""
-    out = []
-    for row in m.rows:
-        den = LaurentPoly.one()
-        for x in row:
-            if x.den != den and not x.den == LaurentPoly.one():
-                g = gcd_laurent(den, x.den)
-                den = exact_div(den * x.den, g)
-        out.append([x.num * exact_div(den, x.den) for x in row])
-    return out
+def _svd_rank(field, sv):
+    """Numerical rank: singular values above tol times the largest."""
+    if len(sv) == 0 or sv[0] == 0:
+        return 0
+    return int(np.sum(sv > field.tol * sv[0]))
 
 
-def _poly_rref(rows, ncols):
-    """Fraction-free full elimination (Montante/Bareiss) over Q[t,t^-1].
+def _fraction_free(field, m, full):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968; Montante's full reduction) of m's integral rows.
 
-    Returns (rows, pivots, last_pivot): in the reduced rows every pivot
-    entry equals last_pivot and pivot columns are clear elsewhere; all
-    interior divisions are exact.
+    Pivots are chosen leftmost column first, then first nonzero row, which
+    keeps the reduction deterministic for golden outputs.  Every division
+    by the previous pivot is exact.  With `full`, rows above each pivot
+    are reduced too, so pivot columns are clear elsewhere and every pivot
+    entry equals the last pivot; otherwise only the rows below are
+    (forward Bareiss), which is all a rank needs.  Returns (rows, pivot
+    columns).
     """
-    rows = [list(r) for r in rows]
+    rows, divide = field.integral_rows(m)
     nrows = len(rows)
     pivots = []
-    prev = LaurentPoly.one()
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not rows[i][col].is_zero:
-                piv = i
-                break
+    prev = None
+    for col in range(m.ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        for i in range(nrows):
+        lead = rows[r]
+        pivot = lead[col]
+        for i in range(0 if full else r + 1, nrows):
             if i == r:
                 continue
-            factor = rows[i][col]
-            if factor.is_zero:
-                rows[i] = [exact_div(pivot * x, prev) for x in rows[i]]
+            row = rows[i]
+            factor = row[col]
+            if factor:
+                row = [pivot * x - factor * y for x, y in zip(row, lead)]
             else:
-                rows[i] = [exact_div(pivot * x - factor * y, prev)
-                           for x, y in zip(rows[i], rows[r])]
+                row = [pivot * x for x in row]
+            if prev is not None:
+                row = [divide(x, prev) for x in row]
+            rows[i] = row
         prev = pivot
         pivots.append(col)
-        r += 1
-    return rows, pivots, prev
-
-
-def _rref_generic(field, m):
-    """Canonical RREF over the rational-function field via the
-    fraction-free path, pivots normalized to 1 only at the end."""
-    rows, pivots, _ = _poly_rref(_clear_denominators(m), m.ncols)
-    out = []
-    for r, col in enumerate(pivots):
-        pivot = rows[r][col]
-        out.append([RationalFunction(x, pivot) for x in rows[r]])
-    zero_row = [field.zero] * m.ncols
-    for r in range(len(pivots), len(rows)):
-        out.append(list(zero_row))
-    return out, pivots
-
-
-def _rref(field, m):
-    """Row-reduce in place (working copy); returns (rows, pivot columns).
-
-    Pivots are chosen leftmost-first down the surviving rows, which keeps
-    the reduction deterministic for golden outputs.
-    """
-    if isinstance(field, GenericTField):
-        return _rref_generic(field, m)
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.div(field.one, rows[r][col])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = rows[i][col]
-            if field.is_zero(factor):
-                continue
-            rows[i] = [field.sub(x, field.mul(factor, y))
-                       for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
     return rows, pivots
 
 
 def mat_rank(field, m):
-    """Rank by SVD on inexact fields, by RREF at generic t, and by
-    forward elimination (no back-substitution) at a fixed exact t."""
-    if not field.exact:
-        arr = _to_numpy(m)
-        if arr.size == 0:
-            return 0
-        sv = np.linalg.svd(arr, compute_uv=False)
-        if len(sv) == 0 or sv[0] == 0:
-            return 0
-        return int(np.sum(sv > field.tol * sv[0]))
-    if isinstance(field, GenericTField):
-        return len(_rref_generic(field, m)[1])
-    rows = [list(r) for r in m.rows]
-    rank = 0
-    for col in range(m.ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if not field.is_zero(rows[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if not field.is_zero(rows[i][col]):
-                factor = field.div(rows[i][col], lead[col])
-                rows[i] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(rows[i], lead)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank by SVD on inexact fields and by forward fraction-free
+    elimination on exact ones."""
+    if field.exact:
+        return len(_fraction_free(field, m, full=False)[1])
+    arr = _to_numpy(m)
+    if arr.size == 0:
+        return 0
+    return _svd_rank(field, np.linalg.svd(arr, compute_uv=False))
 
 
 def kernel_basis(field, m):
     """Kernel of m as a Mat whose columns are basis vectors (ncols x k)."""
     n = m.ncols
     if not field.exact:
-        arr = _to_numpy(m)
         if m.nrows == 0:
             return mat_identity(field, n)
-        sv_u, sv, vh = np.linalg.svd(arr)
-        if len(sv) and sv[0] > 0:
-            rank = int(np.sum(sv > field.tol * sv[0]))
-        else:
-            rank = 0
+        _, sv, vh = np.linalg.svd(_to_numpy(m))
+        rank = _svd_rank(field, sv)
         null = vh[rank:].conj().T  # n x (n - rank)
         return Mat([[complex(x) for x in row] for row in null], n - rank)
-    rows, pivots = _rref(field, m)
+    rows, pivots = _fraction_free(field, m, full=True)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
     basis_cols = []
-    for free in free_cols:
+    for free in range(n):
+        if free in pivot_set:
+            continue
         vec = [field.zero] * n
         vec[free] = field.one
         for r, pcol in enumerate(pivots):
-            vec[pcol] = field.neg(rows[r][free])
+            vec[pcol] = field.quotient(-rows[r][free], rows[r][pcol])
         basis_cols.append(vec)
     return Mat([[col[i] for col in basis_cols] for i in range(n)],
                len(basis_cols))
 
 
-def _row_space_canon(field, m):
-    """Canonical (RREF) basis of the row space, for exact fields."""
-    rows, pivots = _rref(field, m)
-    return [tuple(r) for r in rows[: len(pivots)]]
-
-
 def column_space_equal(field, a, b):
     """Do two matrices with the same number of rows span the same column
-    space?"""
+    space?  Yes iff rank a = rank b = rank [a|b]."""
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
-    if not field.exact:
-        ra = mat_rank(field, a)
-        rb = mat_rank(field, b)
-        if ra != rb:
-            return False
-        joined = Mat([ra_row + rb_row
-                      for ra_row, rb_row in zip(a.rows, b.rows)],
-                     a.ncols + b.ncols)
-        return mat_rank(field, joined) == ra
-    return (_row_space_canon(field, a.transpose())
-            == _row_space_canon(field, b.transpose()))
+    rank = mat_rank(field, a)
+    if rank != mat_rank(field, b):
+        return False
+    joined = Mat([ra + rb for ra, rb in zip(a.rows, b.rows)],
+                 a.ncols + b.ncols)
+    return mat_rank(field, joined) == rank

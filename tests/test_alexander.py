@@ -108,6 +108,17 @@ def test_fibre_dimension_trefoil():
         fibre_dimension(m, 0)
 
 
+def test_fibre_dimension_jumps_at_rational_roots():
+    # stevedore 6_1, Delta = 2 - 5t + 2t^2 = (2 - t)(1 - 2t): Delta is the
+    # singular locus, and at its rational roots exact elimination sees it
+    m = alexander_matrix(braid_closure(parse_braid("4: s1 s1 s2 S1 S3 s2 S3")))
+    data = alexander_data(m)
+    assert data.delta == LaurentPoly({0: 2, 1: -5, 2: 2})
+    assert data.strata == ((1, 2),)
+    for t, dim in (("2", 2), ("1/2", 2), ("3", 1), ("-1", 1)):
+        assert fibre_dimension(m, Fraction(t)) == dim, t
+
+
 def test_fibre_dimension_unknot():
     m = alexander_matrix(catalog_lookup("unknot").crossing_list)
     assert fibre_dimension(m, Fraction(5)) == 1

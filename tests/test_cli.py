@@ -2,10 +2,14 @@
 exit codes."""
 import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import alexkit
 from alexkit import BraidWord, burau, errors
 from alexkit.cli import parse_t_spec, run, selftest_report
 from alexkit.errors import ParseError, RouteDisagreement
@@ -146,8 +150,8 @@ def test_selftest(capsys):
 def test_selftest_reports_route_disagreement(capsys, monkeypatch):
     # a wrong reduced Burau matrix fails the closure cross-check of every
     # knot; selftest marks that route FAIL instead of raising
-    monkeypatch.setattr(burau, "burau_reduced", lambda b: [
-        [2 * x for x in row] for row in burau._identity_rows(b.strands - 1)])
+    monkeypatch.setattr(burau, "_reduce_rows", lambda rows, n: [
+        [2 * x for x in row] for row in burau._identity_rows(n - 1)])
     lines, ok = selftest_report(["trefoil", "figure8", "hopf"])
     assert not ok
     assert lines == ["trefoil: FAIL (burau)", "figure8: FAIL (burau)",
@@ -198,8 +202,8 @@ def test_batch_file(tmp_path, capsys):
 
 def test_route_disagreement(tmp_path, capsys, monkeypatch):
     # a wrong reduced Burau matrix makes the closure cross-check fail
-    monkeypatch.setattr(burau, "burau_reduced", lambda b: [
-        [2 * x for x in row] for row in burau._identity_rows(b.strands - 1)])
+    monkeypatch.setattr(burau, "_reduce_rows", lambda rows, n: [
+        [2 * x for x in row] for row in burau._identity_rows(n - 1)])
     with pytest.raises(RouteDisagreement):
         burau.closure_alexander(BraidWord(2, [1, 1, 1]))
     code, out, err = _run(capsys, ["closure", "2: s1 s1 s1"])
@@ -211,3 +215,21 @@ def test_route_disagreement(tmp_path, capsys, monkeypatch):
     assert "cross-check" in json.loads(out)["error"]
     assert json.loads(out)["error_type"] == "RouteDisagreement"
     assert json.loads(out)["exit_code"] == 1
+
+
+def test_fiber_jumps_at_rational_root(capsys):
+    # stevedore 6_1: Delta = 2 - 5t + 2t^2 has the root t = 1/2
+    stevedore = "4: s1 s1 s2 S1 S3 s2 S3"
+    assert _run(capsys, ["fiber", "--t", "1/2", stevedore]) == (0, "2\n", "")
+    assert _run(capsys, ["fiber", "--t", "3", stevedore]) == (0, "1\n", "")
+
+
+def test_python_dash_m(tmp_path):
+    # `python -m alexkit` runs the CLI from an uninstalled source tree
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(alexkit.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "alexkit", "alexander",
+                           "2: s1 s1 s1"], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "1 - t + t^2\n", "")

@@ -1,0 +1,157 @@
+"""Exact kernels, ranks and RREFs of the fraction-free elimination in
+`alexkit.fields` against a sympy oracle, and kernels at every field."""
+import cmath
+import random
+from fractions import Fraction
+
+import numpy as np
+import sympy
+from sympy.polys.matrices import DomainMatrix
+
+from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
+                            _fraction_free, kernel_basis, mat_mul, mat_rank)
+from alexkit.laurent import LaurentPoly, RationalFunction
+
+_t = sympy.symbols("t")
+
+# denominators with no root at the rational points below
+_DENS = (LaurentPoly.one(), LaurentPoly({0: 1, 1: 1}),
+         LaurentPoly({0: 3, 1: -2}), LaurentPoly({0: 2, 1: 1}),
+         LaurentPoly.t())
+_COEFFS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
+_POINTS = ("2", "-3", "5/2", "-1/3")
+
+
+def _sym(p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * _t ** e
+                for e, c in p.coeffs.items()), sympy.Integer(0))
+
+
+def _entry(rng):
+    """(numerator, denominator): a sparse Laurent numerator over Q."""
+    num = LaurentPoly({e: rng.choice(_COEFFS) for e in range(-1, 2)
+                       if rng.random() < 0.5})
+    return num, rng.choice(_DENS)
+
+
+def _random_entries(rng):
+    """A small matrix of (num, den) pairs, with zero rows and columns,
+    repeated and scaled rows, and 0 x k or k x 0 shapes among them."""
+    nrows, ncols = rng.randint(0, 4), rng.randint(0, 5)
+    rows = [[_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    zero = (LaurentPoly.zero(), LaurentPoly.one())
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [zero] * ncols
+    if ncols and rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = zero
+    if nrows >= 2 and rng.random() < 0.4:
+        src = rows[rng.randrange(nrows)]
+        scale = LaurentPoly({rng.randint(-1, 1): rng.choice((1, -2))})
+        rows[rng.randrange(nrows)] = [(p * scale, q) for p, q in src]
+    return rows, ncols
+
+
+def _ours(field, entries, ncols):
+    return Mat([[field.div(field.from_laurent(p), field.from_laurent(q))
+                 for p, q in row] for row in entries], ncols)
+
+
+def _oracle(entries, ncols, t=None):
+    """(rank, RREF, pivot columns) by sympy: Matrix.rank and Matrix.rref
+    at a rational t; at generic t a DomainMatrix over Q(t), since
+    Matrix.rref on rational-function entries took about five minutes
+    on the generic draws below."""
+    m = sympy.Matrix(len(entries), ncols,
+                     [_sym(p) / _sym(q) for row in entries for p, q in row])
+    if t is not None:
+        m = m.subs(_t, sympy.Rational(t))
+        return (m.rank(),) + m.rref()
+    d = DomainMatrix.from_Matrix(m).convert_to(sympy.QQ.frac_field(_t))
+    rref, pivots = d.rref()
+    return d.rank(), rref.to_Matrix(), pivots
+
+
+def _rref(field, m):
+    """Normalised pivot rows of the full fraction-free pass."""
+    rows, pivots = _fraction_free(field, m, full=True)
+    return [[field.quotient(x, rows[r][col]) for x in rows[r]]
+            for r, col in enumerate(pivots)], tuple(pivots)
+
+
+def _to_sym(field, x):
+    if isinstance(x, RationalFunction):
+        return _sym(x.num) / _sym(x.den)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _check_against_sympy(field, entries, ncols, t=None):
+    m = _ours(field, entries, ncols)
+    rank, want, want_pivots = _oracle(entries, ncols, t)
+    assert mat_rank(field, m) == rank
+    got, pivots = _rref(field, m)
+    assert pivots == want_pivots
+    for r, row in enumerate(got):
+        for j, x in enumerate(row):
+            assert sympy.cancel(_to_sym(field, x) - want[r, j]) == 0, (r, j)
+    return rank
+
+
+def test_rational_points_match_sympy():
+    rng = random.Random(5)
+    for _ in range(40):
+        entries, ncols = _random_entries(rng)
+        for t in _POINTS:
+            _check_against_sympy(RationalPoint(Fraction(t)), entries, ncols,
+                                 t)
+
+
+def test_generic_t_matches_sympy():
+    rng = random.Random(11)
+    for _ in range(25):
+        entries, ncols = _random_entries(rng)
+        _check_against_sympy(GenericTField(), entries, ncols)
+
+
+def test_rank_drops_at_a_root():
+    # rows (1, t) and (2, 4): rank 2 except at t = 2
+    entries = [[(LaurentPoly.one(), LaurentPoly.one()),
+                (LaurentPoly.t(), LaurentPoly.one())],
+               [(LaurentPoly({0: 2}), LaurentPoly.one()),
+                (LaurentPoly({0: 4}), LaurentPoly.one())]]
+    assert _check_against_sympy(RationalPoint(2), entries, 2, "2") == 1
+    assert _check_against_sympy(RationalPoint(3), entries, 2, "3") == 2
+    assert _check_against_sympy(GenericTField(), entries, 2) == 2
+
+
+def test_kernels_at_every_field():
+    rng = random.Random(23)
+    fields = [GenericTField(), ComplexPoint(cmath.exp(1j))]
+    fields += [RationalPoint(Fraction(t)) for t in _POINTS]
+    for _ in range(25):
+        entries, ncols = _random_entries(rng)
+        generic_rank = None
+        for field in fields:
+            m = _ours(field, entries, ncols)
+            k = kernel_basis(field, m)
+            assert k.nrows == ncols
+            if field.exact:
+                t = None if isinstance(field, GenericTField) else field.t
+                rank = _oracle(entries, ncols, t)[0]
+                product = mat_mul(field, m, k)
+                assert all(x == field.zero for row in product.rows
+                           for x in row)
+                if t is None:
+                    generic_rank = rank
+                else:
+                    assert all(type(x) is Fraction for row in k.rows
+                               for x in row)
+            else:
+                # e^i is transcendental, so m(e^i) has the generic rank
+                rank = generic_rank
+                if m.nrows and k.ncols:
+                    product = (np.array(m.rows, dtype=complex)
+                               @ np.array(k.rows, dtype=complex))
+                    assert np.abs(product).max() < 1e-9
+            assert k.ncols == ncols - rank, field.describe()

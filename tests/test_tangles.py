@@ -2,6 +2,7 @@
 Reidemeister equivalences, and the global linear-system route."""
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -119,6 +120,18 @@ def test_two_routes_agree_random(field):
         e = random_tangle_expr(rng)
         assert spans_equivalent(evaluate_tangle(e, field),
                                 tangle_linear_system(e, field)), e.render()
+
+
+def test_two_routes_agree_larger_braids():
+    # open braids of 5-6 strands and 20 letters, each at one rational t
+    rng = random.Random(71)
+    for t in ("2/3", "-3", "5/2"):
+        n = rng.randint(5, 6)
+        b = BraidWord(n, [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                          for _ in range(20)])
+        e, field = braid_expr(b), RationalPoint(Fraction(t))
+        assert spans_equivalent(evaluate_tangle(e, field),
+                                tangle_linear_system(e, field)), b.render()
 
 
 def test_closed_trefoil_mid_dims():
