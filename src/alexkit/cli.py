@@ -10,6 +10,7 @@ prints an error object with its `error_type` and `exit_code` instead.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import re
 import sys
@@ -44,8 +45,10 @@ def parse_t_spec(text):
         return GenericTField()
     m = _COMPLEX_RE.fullmatch(text)
     if m:
-        return ComplexPoint(complex(float(m.group(1) or 0),
-                                    float(m.group(2))))
+        value = complex(float(m.group(1) or 0), float(m.group(2)))
+        if not cmath.isfinite(value):
+            raise ParseError("t-spec %r is not finite" % text)
+        return ComplexPoint(value)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -64,17 +67,11 @@ def _load_diagram(fmt, text):
 
 
 def _poly_json(p):
+    """A univariate or multivariate polynomial as JSON fields; a
+    multivariate exponent tuple is written as an array."""
     return {
         "coeffs": [[e, c.numerator, c.denominator]
                    for e, c in sorted(p.coeffs.items())],
-        "pretty": p.render(),
-    }
-
-
-def _mv_poly_json(p):
-    return {
-        "coeffs": [[list(exps), c.numerator, c.denominator]
-                   for exps, c in sorted(p.coeffs.items())],
         "pretty": p.render(),
     }
 
@@ -85,7 +82,7 @@ def _alexander(text, fmt, field):
         delta = knot_delta(diagram)
         return {"delta": _poly_json(delta)}, delta.render()
     mv = multivariable_alexander(diagram)
-    return {"delta": _mv_poly_json(mv)}, mv.render()
+    return {"delta": _poly_json(mv)}, mv.render()
 
 
 def _burau(text, fmt, field):

@@ -217,7 +217,7 @@ def _fraction_free(field, m, full):
             else:
                 row = [pivot * x for x in row]
             if prev is not None:
-                row = [divide(x, prev) for x in row]
+                row = [divide(x, prev) if x else x for x in row]
             rows[i] = row
         prev = pivot
         pivots.append(col)

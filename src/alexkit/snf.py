@@ -1,124 +1,48 @@
 """Smith normal form over Q[t, t^-1], and exact determinants over the
 univariate and multivariate Laurent rings.
 
-The two share no code: the Fox route reduces its matrices with
-`smith_normal_form`, while the Burau and multivariable routes take
-determinants with `poly_det`, so the Fox route checks the other two
-with elimination code they do not use."""
+`smith_normal_form` is one sparse elimination over rows stored as
+{column: entry}.  While some entry is a unit c*t^k, the pivot is the unit
+of least Markowitz cost (r - 1)(c - 1), r and c the nonzero counts of its
+row and column (the unit-pivot preconditioning of Dumas, Saunders and
+Villard, J. Symb. Comput. 32, 2001); otherwise it is an entry of least
+degree spread.  Row operations divide the rest of the pivot column by the
+pivot.  A remainder stays in place; its spread is below the pivot's, so a
+later pivot choice takes it up and nothing restarts.  Once the column is
+clear, column operations reduce the pivot row the same way, changing that
+row alone.  A pivot with a clear column splits off as a 1 x 1 block when
+it is a unit (clearing its row then changes nothing else) or when it is
+alone in its row.  After a non-unit step each changed row is divided by
+its rational content, a unit, so the coefficients stay small.  The blocks
+form a diagonal matrix equivalent to the input, and replacing each pair
+(a, b) of its entries with (gcd, lcm) makes it a divisibility chain
+(Newman, Integral Matrices, 1972).
+
+The Smith form and `poly_det` share no code: the Fox route reduces its
+matrices with `smith_normal_form`, while the Burau and multivariable
+routes take determinants with `poly_det`, so the Fox route checks the
+other two with elimination code they do not use."""
 from __future__ import annotations
 
 import heapq
 
-from .laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                      divmod_laurent, exact_div, mv_exact_div)
+from .laurent import (LaurentPoly, MultiLaurentPoly, _primitive_coeffs,
+                      canonical_poly, divmod_laurent, exact_div,
+                      gcd_laurent, mv_exact_div)
 
 
-def _find_pivot(m, p, nrows, ncols):
-    """Nonzero entry of minimal degree spread in the trailing submatrix,
-    ties broken row-major; None if the submatrix is zero."""
-    best = None
-    best_spread = None
-    for i in range(p, nrows):
-        for j in range(p, ncols):
-            entry = m[i][j]
-            if entry.is_zero:
-                continue
-            s = entry.spread
-            if best is None or s < best_spread:
-                best, best_spread = (i, j), s
-    return best
+def _primitive_row(row):
+    """Divide a row by its rational content, a unit of Q[t, t^-1]."""
+    flat = _primitive_coeffs({(k, e): c for k, x in row.items()
+                              for e, c in x.coeffs.items()})
+    for k, x in row.items():
+        row[k] = LaurentPoly({e: flat[k, e] for e in x.coeffs})
 
 
-def _swap_rows(m, a, b):
-    m[a], m[b] = m[b], m[a]
-
-
-def _swap_cols(m, a, b):
-    for row in m:
-        row[a], row[b] = row[b], row[a]
-
-
-def _clear_pivot(m, p, nrows, ncols):
-    """Clear row p and column p using the pivot at (p, p).
-
-    Whenever a division leaves a remainder, the remainder (of strictly
-    smaller spread) is swapped into the pivot slot and the pass restarts,
-    so this terminates.
-    """
-    while True:
-        restarted = False
-        for i in range(p + 1, nrows):
-            if m[i][p].is_zero:
-                continue
-            q, r = divmod_laurent(m[i][p], m[p][p])
-            for j in range(p, ncols):
-                m[i][j] = m[i][j] - q * m[p][j]
-            if not r.is_zero:
-                _swap_rows(m, p, i)
-                restarted = True
-                break
-        if restarted:
-            continue
-        for j in range(p + 1, ncols):
-            if m[p][j].is_zero:
-                continue
-            q, r = divmod_laurent(m[p][j], m[p][p])
-            for i in range(p, nrows):
-                m[i][j] = m[i][j] - q * m[i][p]
-            if not r.is_zero:
-                _swap_cols(m, p, j)
-                restarted = True
-                break
-        if not restarted:
-            return
-
-
-def _dense_smith(m):
-    """Invariant factors of a dense matrix (a list of row lists, reduced
-    in place) by pivoting on entries of least degree spread."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    diag = []
-    p = 0
-    while p < nrows and p < ncols:
-        piv = _find_pivot(m, p, nrows, ncols)
-        if piv is None:
-            break
-        i, j = piv
-        _swap_rows(m, p, i)
-        _swap_cols(m, p, j)
-        while True:
-            _clear_pivot(m, p, nrows, ncols)
-            bad = None
-            for i in range(p + 1, nrows):
-                for j in range(p + 1, ncols):
-                    if m[i][j].is_zero:
-                        continue
-                    _, r = divmod_laurent(m[i][j], m[p][p])
-                    if not r.is_zero:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            for j in range(ncols):
-                m[p][j] = m[p][j] + m[bad][j]
-        diag.append(m[p][p])
-        p += 1
-    return [canonical_poly(d) for d in diag]
-
-
-def _unit_presolve(rows):
-    """Eliminate unit pivots c*t^k by sparse Gaussian elimination.
-
-    Returns the number of pivots eliminated and the dense rows of what is
-    left, without its zero rows and columns.
-    The next pivot is the unit entry of least Markowitz cost
-    (r - 1)(c - 1), with r and c the nonzero counts of its row and column.
-    """
-    sparse = [{j: x for j, x in enumerate(row) if not x.is_zero}
-              for row in rows]
+def smith_normal_form(rows):
+    """Invariant factors d1 | d2 | ... | dr of a LaurentPoly matrix,
+    each in canonical form; the empty list for a zero or empty matrix."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     cols = {}
     for i, row in enumerate(sparse):
         for j in row:
@@ -136,63 +60,84 @@ def _unit_presolve(rows):
 
     for i, row in enumerate(sparse):
         push_units(i, row)
-    eliminated = 0
-    while heap:
-        cost, i, j = heapq.heappop(heap)
+    units = 0
+    diag = []
+    while True:
+        i = None
+        while heap:
+            cost, i, j = heapq.heappop(heap)
+            row = sparse[i]
+            if row is not None and j in row and row[j].is_unit() \
+                    and cost == (len(row) - 1) * (len(cols[j]) - 1):
+                break
+            i = None
+        if i is None:
+            live = [(x.spread, i, j) for i, row in enumerate(sparse)
+                    if row for j, x in row.items()]
+            if not live:
+                break
+            _, i, j = min(live)
         row = sparse[i]
-        if row is None or j not in row or not row[j].is_unit() \
-                or cost != (len(row) - 1) * (len(cols[j]) - 1):
-            continue
-        inverse = row.pop(j) ** -1
-        pivot_row = {k: x * inverse for k, x in row.items()}
-        sparse[i] = None
-        for k in pivot_row:
-            cols[k].discard(i)
-        changed = [r for r in cols.pop(j) if r != i]
+        touched = list(row)
+        pivot = row.pop(j)
+        unit = pivot.is_unit()
+        inverse = pivot ** -1 if unit else None
+        changed = [r for r in cols[j] if r != i]
         for r in changed:
             target = sparse[r]
             f = target.pop(j)
-            for k, x in pivot_row.items():
+            q, rem = (f * inverse, None) if unit else divmod_laurent(f, pivot)
+            if rem:
+                target[j] = rem
+            else:
+                cols[j].discard(r)
+            for k, x in row.items():
                 old = target.get(k)
-                new = -(f * x) if old is None else old - f * x
-                if not new.is_zero:
+                new = -(q * x) if old is None else old - q * x
+                if new:
                     if old is None:
                         cols[k].add(r)
                     target[k] = new
                 elif old is not None:
                     del target[k]
                     cols[k].discard(r)
-        eliminated += 1
+        clear = len(cols[j]) == 1
+        if clear and not unit:
+            for k in list(row):
+                rem = divmod_laurent(row[k], pivot)[1]
+                if rem:
+                    row[k] = rem
+                else:
+                    del row[k]
+                    cols[k].discard(i)
+        if clear and (unit or not row):
+            sparse[i] = None
+            for k in row:
+                cols[k].discard(i)
+            del cols[j]
+            if unit:
+                units += 1
+            else:
+                diag.append(pivot)
+        else:
+            row[j] = pivot
+            if clear:
+                changed.append(i)
         for r in changed:
+            if not unit:
+                _primitive_row(sparse[r])
             push_units(r, sparse[r])
-        for k in pivot_row:
-            for r in cols[k]:
+        for k in touched:
+            for r in cols.get(k, ()):
                 push_units(r, (k,))
-    left = [row for row in sparse if row]
-    keep = sorted(k for k, members in cols.items() if members)
-    zero = LaurentPoly.zero()
-    return eliminated, [[row.get(k, zero) for k in keep] for row in left]
-
-
-def smith_normal_form(rows):
-    """Invariant factors d1 | d2 | ... | dr of a LaurentPoly matrix,
-    each in canonical form; the empty list for a zero or empty matrix.
-
-    A sparse presolve comes first, the unit-pivot preconditioning of
-    Dumas, Saunders and Villard ("On efficient sparse integer matrix Smith
-    normal form computations", J. Symb. Comput. 32, 2001).  While some
-    entry is a unit c*t^k of Q[t, t^-1], it clears that entry's column
-    with row operations, which are invertible because the pivot is a
-    unit, and then its row, which leaves the rest untouched.  Each such
-    step splits off a 1 x 1 block equivalent to (1), so it contributes
-    the invariant factor 1 and leaves the Smith form of the remaining
-    (Schur complement) matrix to supply the others.  The products
-    d1...dj, and with them Delta^k and the strata, are therefore those of
-    the full matrix.  What is left, typically a few rows, is reduced
-    densely by pivoting on entries of least degree spread.
-    """
-    units, rest = _unit_presolve(rows)
-    return [LaurentPoly.one() for _ in range(units)] + _dense_smith(rest)
+    chain = [canonical_poly(d) for d in diag]
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = gcd_laurent(chain[a], chain[b])
+            if g != chain[a]:
+                chain[a], chain[b] = g, canonical_poly(
+                    exact_div(chain[a] * chain[b], g))
+    return [LaurentPoly.one() for _ in range(units)] + chain
 
 
 def poly_det(rows, one):

@@ -65,6 +65,16 @@ def test_fox_route_matches_burau_on_nine_strand_knot():
     assert knot_delta(braid_closure(b)) == delta
 
 
+def test_fox_route_matches_burau_on_200_crossings():
+    # (s1 S2)^100: a Smith form whose rows keep their rational content
+    # takes about 20 s here, from coefficient growth in the last steps
+    b = parse_braid("3: " + " ".join(["s1 S2"] * 100))
+    data = alexander_data(alexander_matrix(braid_closure(b)))
+    assert data.delta == closure_alexander(b)
+    assert [d.spread for d in data.invariant_factors if d.spread] == [98, 100]
+    assert data.strata == ((1, 2), (2, 98))
+
+
 def test_trefoil_module_data():
     d = catalog_lookup("trefoil").crossing_list
     data = alexander_data(alexander_matrix(d))

@@ -169,6 +169,12 @@ def test_exit_codes(capsys):
     assert code == 3 and "error:" in err
     code, _, err = _run(capsys, ["alexander", "--t", "??", "1:"])
     assert code == 2
+    # a complex t that overflows to infinity
+    code, _, err = _run(capsys, ["fiber", "--t=1e309i", "2: s1 s1 s1"])
+    assert (code, err) == (2, "error: t-spec '1e309i' is not finite\n")
+    code, _, err = _run(capsys, ["span", "--format", "dsl", "--t=1e400i",
+                                 "xp"])
+    assert (code, err) == (2, "error: t-spec '1e400i' is not finite\n")
     code, _, err = _run(capsys, ["alexander", "--file", "/nonexistent"])
     assert code == 2
 

@@ -9,8 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              exact_div, gcd_laurent, normalize_unit)
-from alexkit.snf import (_unit_presolve, minor_matrix, poly_det,
-                         smith_normal_form)
+from alexkit.snf import minor_matrix, poly_det, smith_normal_form
 from util import random_poly
 
 _t = sympy.symbols("t")
@@ -91,7 +90,7 @@ def _non_unit(rng):
 def test_unit_presolve_matches_minor_gcd_oracle():
     """Sparse matrices in which every row has a +-c*t^k entry, as Fox rows
     and tangle gluing rows do; the other entries are not units, so the
-    elimination leaves a dense remainder with fill-in."""
+    unit pivots leave a non-unit remainder with fill-in."""
     rng = random.Random(31)
     for _ in range(10):
         nrows = rng.randint(3, 4)
@@ -103,11 +102,8 @@ def test_unit_presolve_matches_minor_gcd_oracle():
             row[rng.randrange(ncols)] = _unit(rng)
             rows.append(row)
         factors = _check_against_oracle(rows)
-        # pivots c*t^k with |c| > 1 leave true fractions in the remainder,
-        # never floats; the canonical factors are integral
-        _, rest = _unit_presolve(rows)
-        assert not any(isinstance(c, float) for row in rest for x in row
-                       for c in x.coeffs.values())
+        # pivots c*t^k with |c| > 1 leave true fractions behind them; the
+        # canonical factors are integral
         assert all(type(c) is int for d in factors
                    for c in d.coeffs.values())
 
@@ -116,20 +112,16 @@ def test_unit_presolve_edge_cases():
     t = LaurentPoly.t()
     one = LaurentPoly.one()
     zero = LaurentPoly.zero()
-    # reduced completely: no dense remainder, every factor 1
+    # reduced completely by unit pivots, every factor 1
     full = [[-one, one - t, t], [zero, t * t, one + t]]
-    assert _unit_presolve(full) == (2, [])
     assert _check_against_oracle(full) == [one, one]
     # the second row is a multiple of the first, so a zero block is left
     a, b = t + one, t * t - one
     split = [[-one, a, b], [t - one, (one - t) * a, (one - t) * b]]
-    assert _unit_presolve(split) == (1, [])
     assert _check_against_oracle(split) == [one]
     # all-zero rows, and a non-unit remainder beside a unit pivot
     sparse = [[zero, zero, zero], [t, t - one, zero],
               [zero, zero, zero], [zero, zero, t * t - one]]
-    units, rest = _unit_presolve(sparse)
-    assert units == 1 and len(rest) == 1
     assert _check_against_oracle(sparse) == [
         one, canonical_poly(t * t - one)]
     assert smith_normal_form([[zero, zero], [zero, zero]]) == []
@@ -152,6 +144,11 @@ def test_snf_known_diagonal():
     rows = [[t - one, zero], [zero, (t - one) * (t + one)]]
     assert smith_normal_form(rows) == [
         canonical_poly(t - one), canonical_poly((t - one) * (t + one))]
+    # coprime diagonal entries: the gcd/lcm finish gives 1, t^2 - 1
+    assert smith_normal_form([[t - one, zero], [zero, t + one]]) == [
+        one, canonical_poly(t * t - one)]
+    # a column operation leaves the remainder -2 of t - 1 by t + 1
+    assert smith_normal_form([[t + one, t - one]]) == [one]
     assert smith_normal_form([]) == []
     assert smith_normal_form([[zero, zero]]) == []
 
