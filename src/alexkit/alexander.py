@@ -44,7 +44,9 @@ class AlexanderMatrix:
         if self.variable_count != 1:
             raise UseMultivariableRoute(
                 "matrix has %d variables" % self.variable_count)
-        return [[entry.to_laurent() for entry in row] for row in self.rows]
+        zero = LaurentPoly.zero()
+        return [[entry.to_laurent() if entry else zero for entry in row]
+                for row in self.rows]
 
     def __repr__(self):
         return "AlexanderMatrix<%dx%d, %d vars>" % (
@@ -94,39 +96,35 @@ class AlexanderData:
         return self.delta_k[0]
 
 
-def alexander_data(m):
-    """Compute Delta^k as d1...d_{n-k} from the Smith normal form.
+def _invariants(m):
+    """Smith invariant factors d1 | d2 | ... of m, and Delta^1..Delta^n
+    with Delta^k = d1...d_{n-k} from the running products d1, d1 d2, ....
 
     Delta^k := 1 when the requested minor size is 0 (k >= n) and := 0
     when minors of that size do not exist or all vanish (split links).
     """
-    rows = m.univariate_rows()
-    n = m.arc_count
-    nrows = len(rows)
-    factors = smith_normal_form(rows)
-    delta_k = []
-    for k in range(1, n + 1):
-        size = n - k
-        if size == 0:
-            delta_k.append(LaurentPoly.one())
-        elif size > nrows or size > n:
-            delta_k.append(LaurentPoly.zero())
-        elif size <= len(factors):
-            prod = LaurentPoly.one()
-            for d in factors[:size]:
-                prod = prod * d
-            delta_k.append(canonical_poly(prod))
-        else:
-            delta_k.append(LaurentPoly.zero())
+    factors = smith_normal_form(m.univariate_rows())
+    prod = LaurentPoly.one()
+    delta_k = [prod]
+    for d in factors[:m.arc_count - 1]:
+        prod = prod * d
+        delta_k.append(canonical_poly(prod))
+    delta_k += [LaurentPoly.zero()] * (m.arc_count - len(delta_k))
+    delta_k.reverse()
+    return factors, delta_k
+
+
+def alexander_data(m):
+    """Delta^k and invariant factors from the Smith normal form, and the
+    strata: k with the count of roots of Delta^k that are not roots of
+    Delta^(k+1)."""
+    factors, delta_k = _invariants(m)
+    roots = [None if p.is_zero else distinct_root_count(p) for p in delta_k]
     strata = []
-    for k in range(1, n):
-        upper = delta_k[k - 1]
-        lower = delta_k[k]
-        if upper.is_zero or lower.is_zero:
-            continue
-        count = distinct_root_count(upper) - distinct_root_count(lower)
-        if count:
-            strata.append((k, count))
+    for k in range(1, m.arc_count):
+        upper, lower = roots[k - 1], roots[k]
+        if upper is not None and lower is not None and upper != lower:
+            strata.append((k, upper - lower))
     return AlexanderData(delta_k, factors, strata)
 
 
@@ -266,4 +264,4 @@ def knot_delta(d):
         weights = AbelianWeights(
             {arc: t for arc in range(1, d.arc_count + 1)}, 1)
         m = alexander_matrix(d, weights)
-    return alexander_data(m).delta
+    return _invariants(m)[1][0]

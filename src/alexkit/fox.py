@@ -1,14 +1,17 @@
 """Free words and abelianized Fox derivatives.
 
 Derivatives obey d(x_j)/d(x_i) = delta_ij, d(x_i^-1)/d(x_i) = -x_i^-1 and
-the product rule d(uv)/d(x_i) = du/d(x_i) + u dv/d(x_i); here they are
+the product rule d(uv)/d(x_i) = du/d(x_i) + u dv/d(x_i).  Here they are
 computed directly through the abelianization, never materializing
-group-ring elements.
+group-ring elements: the image of a word under unit-monomial weights is
+itself a unit monomial c*t^e, carried as the pair (e, c).
 """
 from __future__ import annotations
 
+from operator import add, sub
+
 from .errors import UnknownGenerator
-from .laurent import MultiLaurentPoly
+from .laurent import MultiLaurentPoly, _div
 
 
 class FreeWord:
@@ -99,28 +102,33 @@ class AbelianWeights:
             raise UnknownGenerator("no weight for generator x%d" % g)
 
 
+def _times(exps, coeff, g, e, weights):
+    """The unit monomial coeff*t^exps times {x_g}^e, as (exps, coeff)."""
+    (wexps, wcoeff), = weights.weight(g).coeffs.items()
+    if e == 1:
+        return tuple(map(add, exps, wexps)), coeff * wcoeff
+    return tuple(map(sub, exps, wexps)), _div(coeff, wcoeff)
+
+
 def abelianize(w, weights):
     """Image {w} of a word under the abelianization."""
-    out = MultiLaurentPoly.one(weights.nvars)
+    exps, coeff = (0,) * weights.nvars, 1
     for g, e in w.letters:
-        wg = weights.weight(g)
-        out = out * (wg if e == 1 else wg.term_inverse())
-    return out
+        exps, coeff = _times(exps, coeff, g, e, weights)
+    return MultiLaurentPoly({exps: coeff}, weights.nvars)
 
 
 def fox_derivative_abelianized(w, i, weights):
     """{dw/dx_i}: single left-to-right pass with the running abelianized
-    prefix."""
-    prefix = MultiLaurentPoly.one(weights.nvars)
-    acc = MultiLaurentPoly.zero(weights.nvars)
+    prefix; a letter x_i adds the prefix before it, x_i^-1 subtracts the
+    prefix after it."""
+    exps, coeff = (0,) * weights.nvars, 1
+    acc = {}
     for g, e in w.letters:
-        wg = weights.weight(g)
+        if e == -1:
+            exps, coeff = _times(exps, coeff, g, e, weights)
+        if g == i:
+            acc[exps] = acc.get(exps, 0) + e * coeff
         if e == 1:
-            if g == i:
-                acc = acc + prefix
-            prefix = prefix * wg
-        else:
-            prefix = prefix * wg.term_inverse()
-            if g == i:
-                acc = acc - prefix
-    return acc
+            exps, coeff = _times(exps, coeff, g, e, weights)
+    return MultiLaurentPoly(acc, weights.nvars)

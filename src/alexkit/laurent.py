@@ -478,7 +478,9 @@ class MultiLaurentPoly:
     def to_laurent(self):
         if self.nvars != 1:
             raise ValueError("not univariate")
-        return LaurentPoly({e: c for (e,), c in self.coeffs.items()})
+        out = LaurentPoly()
+        out.coeffs = {e: c for (e,), c in self.coeffs.items()}
+        return out
 
     def set_all_equal(self):
         """Substitute every variable by the single variable t."""

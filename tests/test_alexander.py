@@ -16,7 +16,9 @@ from alexkit.codes import (BraidWord, braid_closure, catalog_lookup,
                            catalog_names, parse_braid)
 from alexkit.errors import (NotAUnit, UseMultivariableRoute,
                             UseUnivariateRoute)
-from alexkit.laurent import LaurentPoly, MultiLaurentPoly, normalize_unit
+from alexkit.fox import AbelianWeights
+from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
+                             distinct_root_count, normalize_unit)
 from util import random_braid
 
 
@@ -73,6 +75,70 @@ def test_fox_route_matches_burau_on_200_crossings():
     assert data.delta == closure_alexander(b)
     assert [d.spread for d in data.invariant_factors if d.spread] == [98, 100]
     assert data.strata == ((1, 2), (2, 98))
+
+
+def _check_module_data(d, weights=None):
+    """knot_delta agrees with alexander_data, whose Delta^k and strata
+    match the products of leading invariant factors taken one k at a
+    time."""
+    m = alexander_matrix(d, weights)
+    data = alexander_data(m)
+    n = m.arc_count
+    factors = data.invariant_factors
+    for k in range(1, n + 1):
+        size = n - k
+        if size > len(factors):
+            want = LaurentPoly.zero()
+        else:
+            want = LaurentPoly.one()
+            for f in factors[:size]:
+                want = want * f
+        assert data.delta_k[k - 1] == canonical_poly(want), k
+    strata = []
+    for k in range(1, n):
+        upper, lower = data.delta_k[k - 1], data.delta_k[k]
+        if not (upper.is_zero or lower.is_zero):
+            count = distinct_root_count(upper) - distinct_root_count(lower)
+            if count:
+                strata.append((k, count))
+    assert data.strata == tuple(strata)
+    assert knot_delta(d) == data.delta
+    return data
+
+
+def test_knot_delta_matches_alexander_data():
+    # connected sums of 2 and 3 trefoils: every Delta^k a product of
+    # several nontrivial invariant factors
+    for word, strata in (("3: s1 s1 s1 s2 s2 s2", ((2, 2),)),
+                         ("4: s1 s1 s1 s2 s2 s2 s3 s3 s3", ((3, 2),))):
+        data = _check_module_data(braid_closure(parse_braid(word)))
+        assert data.strata == strata
+    rng = random.Random(71)
+    knots = 0
+    while knots < 30:
+        b = random_braid(rng, max_strands=6, max_len=14)
+        if b.component_count() == 1:
+            knots += 1
+            _check_module_data(braid_closure(b))
+
+
+def test_knot_delta_matches_alexander_data_on_links():
+    """Links go through the all-t weights; a split link has Delta = 0."""
+    rng = random.Random(73)
+    links = 0
+    while links < 10:
+        b = random_braid(rng, max_strands=5, max_len=12)
+        if b.component_count() != 2:
+            continue
+        links += 1
+        d = braid_closure(b)
+        _check_module_data(d, AbelianWeights.all_t(range(1, d.arc_count + 1)))
+    one_crossing = braid_closure(parse_braid("2: s1"))
+    assert one_crossing.arc_count == 1
+    assert _check_module_data(one_crossing).delta == LaurentPoly.one()
+    split = braid_closure(parse_braid("3: s1 s1"))
+    weights = AbelianWeights.all_t(range(1, split.arc_count + 1))
+    assert _check_module_data(split, weights).delta.is_zero
 
 
 def test_trefoil_module_data():

@@ -1,6 +1,7 @@
 """Fox-derivative laws: product rule, inverse rule, and the fundamental
 identity, on random free words."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,57 @@ def test_fundamental_identity():
             total = total + (fox_derivative_abelianized(word, i, w)
                              * (w.weight(i) - one))
         assert total == abelianize(word, w) - one
+
+
+def _random_unit_weights(rng, ngens, nvars):
+    """Unit monomials c*t^e with nonzero rational c, some of them not
+    +-1, and exponents in [-2, 2]."""
+    coeffs = (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7))
+    return AbelianWeights(
+        {g: MultiLaurentPoly.monomial(
+            [rng.randint(-2, 2) for _ in range(nvars)], rng.choice(coeffs))
+         for g in range(1, ngens + 1)}, nvars)
+
+
+def _reference_derivative(word, i, weights):
+    """{dw/dx_i} with the prefix kept as a polynomial and multiplied by
+    each weight or its inverse: the loop the monomial prefix replaced."""
+    prefix = MultiLaurentPoly.one(weights.nvars)
+    acc = MultiLaurentPoly.zero(weights.nvars)
+    for g, e in word.letters:
+        wg = weights.weight(g)
+        if e == 1:
+            if g == i:
+                acc = acc + prefix
+            prefix = prefix * wg
+        else:
+            prefix = prefix * wg.term_inverse()
+            if g == i:
+                acc = acc - prefix
+    return acc, prefix
+
+
+def test_fundamental_formula_with_unit_weights():
+    """sum_i {dw/dx_i}({x_i} - 1) = {w} - 1 under weights c*t^e in 1-3
+    variables, and each derivative and image equals the polynomial-product
+    reference."""
+    rng = random.Random(17)
+    for _ in range(60):
+        ngens = rng.randint(1, 5)
+        nvars = rng.randint(1, 3)
+        weights = _random_unit_weights(rng, ngens, nvars)
+        word = _random_word(rng, ngens, rng.randint(0, 12))
+        one = MultiLaurentPoly.one(nvars)
+        image = abelianize(word, weights)
+        total = MultiLaurentPoly.zero(nvars)
+        for i in range(1, ngens + 1):
+            derivative = fox_derivative_abelianized(word, i, weights)
+            reference, reference_image = _reference_derivative(word, i,
+                                                               weights)
+            assert derivative == reference
+            assert image == reference_image
+            total = total + derivative * (weights.weight(i) - one)
+        assert total == image - one
 
 
 def test_worked_example():
