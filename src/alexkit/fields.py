@@ -3,8 +3,9 @@ matrix routines used by span composition: kernels, ranks, column spaces.
 
 Exact kernels and ranks use one fraction-free elimination: each exact field
 scales its rows into an integral ring, Z at a rational t and Q[t^+-1] at
-generic t, and normalises the pivot rows into the field at the end.  The
-SVD runs only at complex t.
+generic t, as sparse {column: entry} maps of their nonzero entries, and
+normalises the pivot rows into the field at the end.  The SVD runs only at
+complex t.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ class ScalarField:
     """Field of scalars at which a tangle or braid is evaluated; the
     shared bodies serve the fixed points t, whose scalars are numbers.
 
-    An exact field also maps a Mat to integral rows, returning them with
-    the exact division of that ring (`integral_rows`), and turns a ratio
-    of two ring elements back into a scalar (`quotient`)."""
+    An exact field also maps a Mat to sparse integral rows, returning
+    them with the exact division of that ring (`integral_rows`), and
+    turns a ratio of two ring elements back into a scalar (`quotient`)."""
 
     exact = True
 
@@ -67,15 +68,17 @@ class GenericTField(ScalarField):
         return RationalFunction(p)
 
     def integral_rows(self, m):
-        """Each row times the lcm of its denominators: rows over Q[t^+-1]."""
+        """Each row's nonzero entries times the lcm of their denominators:
+        sparse rows over Q[t^+-1]."""
         one = LaurentPoly.one()
         out = []
         for row in m.rows:
+            nonzero = [(j, x) for j, x in enumerate(row) if x]
             den = one
-            for x in row:
+            for _, x in nonzero:
                 if x.den != den and x.den != one:
                     den = exact_div(den * x.den, gcd_laurent(den, x.den))
-            out.append([x.num * exact_div(den, x.den) for x in row])
+            out.append({j: x.num * exact_div(den, x.den) for j, x in nonzero})
         return out, exact_div
 
     def quotient(self, a, b):
@@ -97,11 +100,14 @@ class RationalPoint(ScalarField):
         self.one = Fraction(1)
 
     def integral_rows(self, m):
-        """Each row times the lcm of its denominators: rows of ints."""
+        """Each row's nonzero entries times the lcm of their denominators:
+        sparse rows of ints."""
         out = []
         for row in m.rows:
-            den = math.lcm(*(x.denominator for x in row))
-            out.append([x.numerator * (den // x.denominator) for x in row])
+            nonzero = [(j, x) for j, x in enumerate(row) if x]
+            den = math.lcm(*(x.denominator for _, x in nonzero))
+            out.append({j: x.numerator * (den // x.denominator)
+                        for j, x in nonzero})
         return out, operator.floordiv
 
     def quotient(self, a, b):
@@ -185,9 +191,13 @@ def _fraction_free(field, m, full):
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
     1968; Montante's full reduction) of m's integral rows.
 
-    Pivots are chosen leftmost column first, then first nonzero row, which
-    keeps the reduction deterministic for golden outputs.  Every division
-    by the previous pivot is exact.  With `full`, rows above each pivot
+    Rows are sparse, {column: entry} with nonzero entries only, so a step
+    costs the nonzeros it touches and the fill-in it makes.  Pivots are
+    chosen leftmost column first, then first row with an entry there,
+    which keeps the reduction deterministic for golden outputs.  Each
+    updated row becomes (pivot * row - factor * pivot row) / previous
+    pivot, every division exact; a row with no entry in the pivot column
+    is only rescaled on its nonzeros.  With `full`, rows above each pivot
     are reduced too, so pivot columns are clear elsewhere and every pivot
     entry equals the last pivot; otherwise only the rows below are
     (forward Bareiss), which is all a rank needs.  Returns (rows, pivot
@@ -201,7 +211,7 @@ def _fraction_free(field, m, full):
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        piv = next((i for i in range(r, nrows) if col in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
@@ -211,14 +221,20 @@ def _fraction_free(field, m, full):
             if i == r:
                 continue
             row = rows[i]
-            factor = row[col]
-            if factor:
-                row = [pivot * x - factor * y for x, y in zip(row, lead)]
-            else:
-                row = [pivot * x for x in row]
+            factor = row.get(col)
+            new = {j: pivot * x for j, x in row.items() if j != col}
+            if factor is not None:
+                for j, y in lead.items():
+                    if j != col:
+                        x = new.get(j)
+                        x = -(factor * y) if x is None else x - factor * y
+                        if x:
+                            new[j] = x
+                        else:
+                            del new[j]
             if prev is not None:
-                row = [divide(x, prev) if x else x for x in row]
-            rows[i] = row
+                new = {j: divide(x, prev) for j, x in new.items()}
+            rows[i] = new
         prev = pivot
         pivots.append(col)
     return rows, pivots
@@ -254,7 +270,9 @@ def kernel_basis(field, m):
         vec = [field.zero] * n
         vec[free] = field.one
         for r, pcol in enumerate(pivots):
-            vec[pcol] = field.quotient(-rows[r][free], rows[r][pcol])
+            x = rows[r].get(free)
+            if x is not None:
+                vec[pcol] = field.quotient(-x, rows[r][pcol])
         basis_cols.append(vec)
     return Mat([[col[i] for col in basis_cols] for i in range(n)],
                len(basis_cols))

@@ -20,10 +20,13 @@ def _lcm(a, b):
 
 
 def _coeff(c):
-    """A coefficient in stored form: an int if integral, else a Fraction."""
+    """A coefficient in stored form: an int if integral, else a Fraction.
+    Sums and products of Fractions may be integral, so arithmetic passes
+    each result that is not an int through here."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -112,12 +115,13 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         data = dict(self.coeffs)
+        get = data.get
         for e, c in other.coeffs.items():
-            s = data.get(e, 0) + c
+            s = get(e, 0) + c
             if s:
-                data[e] = s
+                data[e] = s if type(s) is int else _coeff(s)
             else:
-                data.pop(e, None)
+                del data[e]
         out = LaurentPoly()
         out.coeffs = data
         return out
@@ -138,14 +142,19 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         data = {}
+        get = data.get
+        terms = tuple(other.coeffs.items())
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+            for e2, c2 in terms:
                 e = e1 + e2
-                s = data.get(e, 0) + c1 * c2
+                s = get(e, 0) + c1 * c2
                 if s:
                     data[e] = s
                 else:
-                    data.pop(e, None)
+                    del data[e]
+        for e, s in data.items():
+            if type(s) is not int:
+                data[e] = _coeff(s)
         out = LaurentPoly()
         out.coeffs = data
         return out
@@ -175,7 +184,8 @@ class LaurentPoly:
 
     def derivative(self):
         out = LaurentPoly()
-        out.coeffs = {e - 1: c * e for e, c in self.coeffs.items() if e != 0}
+        out.coeffs = {e - 1: _coeff(c * e) for e, c in self.coeffs.items()
+                      if e != 0}
         return out
 
     def evaluate(self, x):
@@ -291,7 +301,8 @@ def divmod_laurent(a, b):
     quo = LaurentPoly()
     quo.coeffs = {e + sa - sb: c for e, c in q.items()}
     r = LaurentPoly()
-    r.coeffs = {e + sa: c for e, c in rem.items()}
+    r.coeffs = {e + sa: c if type(c) is int else _coeff(c)
+                for e, c in rem.items()}
     return quo, r
 
 
@@ -490,7 +501,7 @@ class MultiLaurentPoly:
             e = sum(exps)
             s = data.get(e, 0) + c
             if s:
-                data[e] = s
+                data[e] = s if type(s) is int else _coeff(s)
             else:
                 data.pop(e, None)
         out.coeffs = data

@@ -19,6 +19,7 @@ from alexkit.errors import (NotAUnit, UseMultivariableRoute,
 from alexkit.fox import AbelianWeights
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              distinct_root_count, normalize_unit)
+from alexkit.snf import smith_normal_form
 from util import random_braid
 
 
@@ -193,6 +194,38 @@ def test_fibre_dimension_jumps_at_rational_roots():
     assert data.strata == ((1, 2),)
     for t, dim in (("2", 2), ("1/2", 2), ("3", 1), ("-1", 1)):
         assert fibre_dimension(m, Fraction(t)) == dim, t
+
+
+def _random_knot_braid(rng, max_strands, max_len):
+    while True:
+        b = random_braid(rng, max_strands=max_strands, max_len=max_len)
+        if b.letters and b.component_count() == 1:
+            return b
+
+
+def test_fibre_dimension_matches_smith_form():
+    """n - rank M(t) by exact elimination equals n minus the number of
+    Smith invariant factors that do not vanish at t: the two routes
+    share no code.  Connected sums of k stevedore knots (roots 2 and 1/2
+    of Delta = 2 - 5t + 2t^2) have fibre dimension k + 1 there."""
+    rng = random.Random(61)
+    stevedore = (1, 1, 2, -1, -3, 2, -3)
+    braids = [_random_knot_braid(rng, 8, 40) for _ in range(10)]
+    sums = [BraidWord(3 * k + 1, [x + 3 * i if x > 0 else x - 3 * i
+                                  for i in range(k) for x in stevedore])
+            for k in range(1, 5)]
+    braids += sums
+    braids += [BraidWord(3, [1, -2] * k) for k in (1, 2, 4, 11, 23, 50)]
+    points = [Fraction(t) for t in ("2", "1/2", "-1", "3")]
+    for b in braids:
+        m = alexander_matrix(braid_closure(b))
+        factors = smith_normal_form(m.univariate_rows())
+        for t in points:
+            nonvanishing = sum(1 for d in factors if d.evaluate(t) != 0)
+            dim = fibre_dimension(m, t)
+            assert dim == m.arc_count - nonvanishing, (b.render(), t)
+            if b in sums and t in (2, Fraction(1, 2)):
+                assert dim == b.strands // 3 + 1
 
 
 def test_fibre_dimension_unknot():

@@ -1,6 +1,8 @@
 """Exact kernels, ranks and RREFs of the fraction-free elimination in
-`alexkit.fields` against a sympy oracle, and kernels at every field."""
+`alexkit.fields` against a sympy oracle and against a dense reference
+loop, and kernels at every field."""
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +12,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
                             _fraction_free, kernel_basis, mat_mul, mat_rank)
-from alexkit.laurent import LaurentPoly, RationalFunction
+from alexkit.laurent import (LaurentPoly, RationalFunction, exact_div,
+                             gcd_laurent)
+from alexkit.tangles import braid_expr, tangle_system
+from util import random_braid
 
 _t = sympy.symbols("t")
 
@@ -76,7 +81,8 @@ def _oracle(entries, ncols, t=None):
 def _rref(field, m):
     """Normalised pivot rows of the full fraction-free pass."""
     rows, pivots = _fraction_free(field, m, full=True)
-    return [[field.quotient(x, rows[r][col]) for x in rows[r]]
+    return [[field.quotient(rows[r][j], rows[r][col]) if j in rows[r]
+             else field.zero for j in range(m.ncols)]
             for r, col in enumerate(pivots)], tuple(pivots)
 
 
@@ -155,3 +161,127 @@ def test_kernels_at_every_field():
                                @ np.array(k.rows, dtype=complex))
                     assert np.abs(product).max() < 1e-9
             assert k.ncols == ncols - rank, field.describe()
+
+
+def _dense_integral_rows(field, m):
+    """Dense reference: every row times the lcm of its denominators."""
+    out = []
+    if isinstance(field, RationalPoint):
+        for row in m.rows:
+            den = math.lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (den // x.denominator) for x in row])
+        return out, lambda a, b: a // b
+    one = LaurentPoly.one()
+    for row in m.rows:
+        den = one
+        for x in row:
+            if x.den != den and x.den != one:
+                den = exact_div(den * x.den, gcd_laurent(den, x.den))
+        out.append([x.num * exact_div(den, x.den) for x in row])
+    return out, exact_div
+
+
+def _dense_fraction_free(field, m, full):
+    """Dense reference Bareiss loop: every entry of every row, zeros
+    included, is rewritten at each pivot."""
+    rows, divide = _dense_integral_rows(field, m)
+    nrows = len(rows)
+    pivots = []
+    prev = None
+    for col in range(m.ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r]
+        pivot = lead[col]
+        for i in range(0 if full else r + 1, nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            factor = row[col]
+            if factor:
+                row = [pivot * x - factor * y for x, y in zip(row, lead)]
+            else:
+                row = [pivot * x for x in row]
+            if prev is not None:
+                row = [divide(x, prev) if x else x for x in row]
+            rows[i] = row
+        prev = pivot
+        pivots.append(col)
+    return rows, pivots
+
+
+def _assert_same_as_dense(field, m):
+    for full in (True, False):
+        rows, pivots = _fraction_free(field, m, full)
+        want_rows, want_pivots = _dense_fraction_free(field, m, full)
+        assert pivots == want_pivots
+        assert len(rows) == len(want_rows)
+        for row, want in zip(rows, want_rows):
+            assert all(x for x in row.values())
+            assert {j: x for j, x in enumerate(want) if x} == row
+
+
+# entries of the kind crossing and gluing rows have, over small denominators
+_SPARSE_NUMS = (LaurentPoly({0: 1}), LaurentPoly({0: -1}), LaurentPoly({0: 2}),
+                LaurentPoly({1: 1}), LaurentPoly({1: -1}),
+                LaurentPoly({0: 1, 1: -1}), LaurentPoly({-1: 1}),
+                LaurentPoly({0: 1, -1: -1}), LaurentPoly({0: Fraction(1, 2)}),
+                LaurentPoly({0: 3, 1: -2}))
+_SPARSE_DENS = (LaurentPoly.one(), LaurentPoly.one(), LaurentPoly.t(),
+                LaurentPoly({0: 1, 1: 1}))
+
+
+def _sparse_entries(rng, nrows=20, ncols=24):
+    """nrows x ncols with 2-3 nonzeros per row; about one row in five is
+    the sum of two earlier ones, so the rank drops."""
+    zero = (LaurentPoly.zero(), LaurentPoly.one())
+    rows = []
+    for i in range(nrows):
+        if i >= 2 and rng.random() < 0.2:
+            a, b = rng.sample(rows, 2)
+            rows.append([(p * q2 + p2 * q, q * q2)
+                         for (p, q), (p2, q2) in zip(a, b)])
+            continue
+        row = [zero] * ncols
+        for j in rng.sample(range(ncols), rng.randint(2, 3)):
+            row[j] = (rng.choice(_SPARSE_NUMS), rng.choice(_SPARSE_DENS))
+        rows.append(row)
+    return rows, ncols
+
+
+def _exact_fields():
+    return [GenericTField()] + [RationalPoint(Fraction(t)) for t in _POINTS]
+
+
+def test_sparse_elimination_matches_dense_loop_small():
+    rng = random.Random(29)
+    for _ in range(40):
+        entries, ncols = _random_entries(rng)
+        for field in _exact_fields():
+            _assert_same_as_dense(field, _ours(field, entries, ncols))
+
+
+def test_sparse_elimination_matches_dense_loop_sparse():
+    rng = random.Random(31)
+    for k in range(6):
+        entries, ncols = _sparse_entries(rng)
+        fields = _exact_fields()
+        for field in fields if k < 2 else fields[1:]:
+            _assert_same_as_dense(field, _ours(field, entries, ncols))
+
+
+def test_sparse_elimination_matches_dense_loop_tangle_systems():
+    rng = random.Random(37)
+    for k in range(6):
+        b = random_braid(rng, max_strands=4, max_len=10, min_strands=3)
+        system = tangle_system(braid_expr(b))
+        fields = _exact_fields()
+        for field in fields if k < 2 else fields[1:]:
+            m = Mat([[field.from_laurent(x) for x in row]
+                     for row in system.matrix_rows()], system.nvars)
+            _assert_same_as_dense(field, m)

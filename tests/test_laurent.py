@@ -271,3 +271,23 @@ def test_integral_fraction_is_stored_as_int():
     assert LaurentPoly.monomial(2, 3) ** -1 == LaurentPoly.monomial(
         -2, Fraction(1, 3))
     assert _all_int(LaurentPoly.monomial(2, -1) ** -1)
+
+
+def test_integral_results_of_fraction_arithmetic_are_ints():
+    """Sums, differences and products of Fraction coefficients of
+    univariate polynomials are stored as ints where they are integral,
+    as the constructors store them."""
+    half = Fraction(1, 2)
+    p = LaurentPoly({0: 2, 1: 4}) * LaurentPoly({0: half})
+    assert p.coeffs == {0: 1, 1: 2} and _all_int(p)
+    q = LaurentPoly({0: half, 1: Fraction(3, 2)})
+    s = q + LaurentPoly({0: half, 1: half})
+    assert s.coeffs == {0: 1, 1: 2} and _all_int(s)
+    d = q - LaurentPoly({0: Fraction(-1, 2), 1: half})
+    assert d.coeffs == {0: 1, 1: 1} and _all_int(d)
+    assert _all_int(LaurentPoly({2: half}).derivative())
+    _, r = divmod_laurent(LaurentPoly({0: 3, 1: 3, 2: 2}),
+                          LaurentPoly({0: 2, 1: 4}))
+    assert r.coeffs == {0: 2} and _all_int(r)
+    m = MultiLaurentPoly({(1, 0): half, (0, 1): half}, 2)
+    assert _all_int(m.set_all_equal())

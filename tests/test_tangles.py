@@ -122,14 +122,21 @@ def test_two_routes_agree_random(field):
                                 tangle_linear_system(e, field)), e.render()
 
 
+def _open_braid(rng, n, length):
+    return BraidWord(n, [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                         for _ in range(length)])
+
+
 def test_two_routes_agree_larger_braids():
-    # open braids of 5-6 strands and 20 letters, each at one rational t
+    # open braids of 5-6 strands and 20 letters, each at one rational t,
+    # and of 4 strands and 12 letters at generic t
     rng = random.Random(71)
-    for t in ("2/3", "-3", "5/2"):
-        n = rng.randint(5, 6)
-        b = BraidWord(n, [rng.choice((1, -1)) * rng.randint(1, n - 1)
-                          for _ in range(20)])
-        e, field = braid_expr(b), RationalPoint(Fraction(t))
+    draws = [(_open_braid(rng, rng.randint(5, 6), 20),
+              RationalPoint(Fraction(t)))
+             for t in ("2/3", "-3", "5/2", "2", "-1/2", "3/4", "-2", "1/3")]
+    draws += [(_open_braid(rng, 4, 12), GenericTField()) for _ in range(6)]
+    for b, field in draws:
+        e = braid_expr(b)
         assert spans_equivalent(evaluate_tangle(e, field),
                                 tangle_linear_system(e, field)), b.render()
 
