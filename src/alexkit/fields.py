@@ -1,11 +1,14 @@
 """Scalar fields (generic t, fixed rational t, fixed complex t) and the
 matrix routines used by span composition: kernels, ranks, column spaces.
 
-Exact kernels and ranks use one fraction-free elimination: each exact field
-scales its rows into an integral ring, Z at a rational t and Q[t^+-1] at
+At generic t the scalars are Laurent polynomials in Z[t^+-1]: a span is
+fixed only up to column scaling, so its maps can stay Laurent matrices,
+and the only division the generators need is by the unit t.  Exact
+kernels and ranks use one fraction-free elimination: each exact field
+scales its rows into an integral ring, Z at a rational t and Z[t^+-1] at
 generic t, as sparse {column: entry} maps of their nonzero entries, and
-normalises the pivot rows into the field at the end.  The SVD runs only at
-complex t.
+turns each kernel column of that ring into its scalars at the end.  The
+SVD runs only at complex t.
 """
 from __future__ import annotations
 
@@ -16,16 +19,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotAUnit
-from .laurent import LaurentPoly, RationalFunction, exact_div, gcd_laurent
+from .laurent import LaurentPoly, exact_div, gcd_laurent
 
 
 class ScalarField:
-    """Field of scalars at which a tangle or braid is evaluated; the
+    """Ring of scalars at which a tangle or braid is evaluated; the
     shared bodies serve the fixed points t, whose scalars are numbers.
 
     An exact field also maps a Mat to sparse integral rows, returning
     them with the exact division of that ring (`integral_rows`), and
-    turns a ratio of two ring elements back into a scalar (`quotient`)."""
+    turns a kernel column of that ring into scalars (`kernel_column`)."""
 
     exact = True
 
@@ -55,34 +58,44 @@ class ScalarField:
 
 
 class GenericTField(ScalarField):
-    """Rational functions in t: the generic fibre."""
+    """Laurent polynomials in t with integer coefficients: the generic
+    fibre.  Only units c*t^k can be divided by."""
 
     def __init__(self):
-        self.zero = RationalFunction.zero()
-        self.one = RationalFunction.one()
+        self.zero = LaurentPoly.zero()
+        self.one = LaurentPoly.one()
 
     def t_value(self):
-        return RationalFunction.t()
+        return LaurentPoly.t()
+
+    def div(self, a, b):
+        if not b.is_unit():
+            raise NotAUnit("cannot divide by %s at generic t" % b.render())
+        return a * b ** -1
 
     def from_laurent(self, p):
-        return RationalFunction(p)
+        return p
 
     def integral_rows(self, m):
-        """Each row's nonzero entries times the lcm of their denominators:
-        sparse rows over Q[t^+-1]."""
-        one = LaurentPoly.one()
+        """Each row's nonzero entries times the lcm of their coefficients'
+        denominators: sparse rows over Z[t^+-1]."""
         out = []
         for row in m.rows:
             nonzero = [(j, x) for j, x in enumerate(row) if x]
-            den = one
-            for _, x in nonzero:
-                if x.den != den and x.den != one:
-                    den = exact_div(den * x.den, gcd_laurent(den, x.den))
-            out.append({j: x.num * exact_div(den, x.den) for j, x in nonzero})
+            den = math.lcm(*(c.denominator for _, x in nonzero
+                             for c in x.coeffs.values()))
+            out.append({j: x * den for j, x in nonzero} if den != 1
+                       else dict(nonzero))
         return out, exact_div
 
-    def quotient(self, a, b):
-        return RationalFunction(a, b)
+    def kernel_column(self, col, d):
+        """The column divided by the gcd of its entries: primitive."""
+        g = LaurentPoly.zero()
+        for x in col.values():
+            g = gcd_laurent(g, x)
+            if g == self.one:
+                return col
+        return {i: exact_div(x, g) for i, x in col.items()}
 
     def describe(self):
         return "generic"
@@ -110,8 +123,9 @@ class RationalPoint(ScalarField):
                         for j, x in nonzero})
         return out, operator.floordiv
 
-    def quotient(self, a, b):
-        return Fraction(a, b)
+    def kernel_column(self, col, d):
+        """The column divided by d."""
+        return {i: Fraction(x, d) for i, x in col.items()}
 
 
 class ComplexPoint(ScalarField):
@@ -148,9 +162,6 @@ class Mat:
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
-
-    def transpose(self):
-        return Mat([self.column(j) for j in range(self.ncols)], self.nrows)
 
     def __repr__(self):
         return "Mat(%dx%d)" % (self.nrows, self.ncols)
@@ -252,7 +263,14 @@ def mat_rank(field, m):
 
 
 def kernel_basis(field, m):
-    """Kernel of m as a Mat whose columns are basis vectors (ncols x k)."""
+    """Kernel of m as a Mat whose columns are basis vectors (ncols x k).
+
+    On an exact field each column comes from one free column f of the
+    full fraction-free pass, whose pivots all equal the last one, D: it
+    is D at f and -x at each pivot column, x being that pivot row's entry
+    at f.  The field turns it into scalars, so at a rational t the columns
+    are those of the reduced row echelon form, and at generic t they are
+    primitive Laurent vectors (the gcd of their entries is 1)."""
     n = m.ncols
     if not field.exact:
         if m.nrows == 0:
@@ -262,18 +280,19 @@ def kernel_basis(field, m):
         null = vh[rank:].conj().T  # n x (n - rank)
         return Mat([[complex(x) for x in row] for row in null], n - rank)
     rows, pivots = _fraction_free(field, m, full=True)
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else field.one
     pivot_set = set(pivots)
     basis_cols = []
     for free in range(n):
         if free in pivot_set:
             continue
-        vec = [field.zero] * n
-        vec[free] = field.one
+        col = {free: d}
         for r, pcol in enumerate(pivots):
             x = rows[r].get(free)
             if x is not None:
-                vec[pcol] = field.quotient(-x, rows[r][pcol])
-        basis_cols.append(vec)
+                col[pcol] = -x
+        col = field.kernel_column(col, d)
+        basis_cols.append([col.get(i, field.zero) for i in range(n)])
     return Mat([[col[i] for col in basis_cols] for i in range(n)],
                len(basis_cols))
 

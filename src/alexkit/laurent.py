@@ -10,13 +10,9 @@ zero polynomial is the empty coefficient map.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .errors import NotAUnit, ZeroPolynomial
-
-
-def _lcm(a, b):
-    return a * b // _int_gcd(a, b)
 
 
 def _coeff(c):
@@ -262,11 +258,8 @@ def canonical_poly(p):
 def _primitive_coeffs(coeffs):
     """The coefficient map scaled by a positive rational to coprime
     integers, as ints."""
-    den = 1
-    num = 0
-    for c in coeffs.values():
-        den = _lcm(den, c.denominator)
-        num = _int_gcd(num, c.numerator)
+    den = _int_lcm(*(c.denominator for c in coeffs.values()))
+    num = _int_gcd(*(c.numerator for c in coeffs.values()))
     return {e: c.numerator * (den // c.denominator) // num
             for e, c in coeffs.items()}
 
@@ -337,105 +330,6 @@ def distinct_root_count(p):
     g = gcd_laurent(u, u.derivative())
     sf = exact_div(u, g)
     return sf.max_exp - sf.min_exp
-
-
-class RationalFunction:
-    """Reduced fraction of Laurent polynomials; the generic-t scalar field."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = LaurentPoly.one()
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
-            return
-        if den.coeffs == {0: 1}:
-            self.num = num
-            self.den = den
-            return
-        g = gcd_laurent(num, den)
-        num = exact_div(num, g)
-        den = exact_div(den, g)
-        canon = canonical_poly(den)
-        unit = exact_div(canon, den)
-        self.num = num * unit
-        self.den = canon
-
-    @classmethod
-    def from_laurent(cls, p):
-        return cls(p)
-
-    @classmethod
-    def zero(cls):
-        return cls(LaurentPoly.zero())
-
-    @classmethod
-    def one(cls):
-        return cls(LaurentPoly.one())
-
-    @classmethod
-    def t(cls):
-        return cls(LaurentPoly.t())
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def _den_is_one(self):
-        return self.den.coeffs == {0: 1}
-
-    def __add__(self, other):
-        if self._den_is_one() and other._den_is_one():
-            return RationalFunction(self.num + other.num)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __sub__(self, other):
-        if self._den_is_one() and other._den_is_one():
-            return RationalFunction(self.num - other.num)
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
-
-    def __neg__(self):
-        out = RationalFunction.zero()
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return RationalFunction.zero()
-        if self._den_is_one() and other._den_is_one():
-            return RationalFunction(self.num * other.num)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def render(self):
-        if self.den == LaurentPoly.one():
-            return self.num.render()
-        return "(%s) / (%s)" % (self.num.render(), self.den.render())
-
-    def __repr__(self):
-        return "RationalFunction<%s>" % self.render()
 
 
 class MultiLaurentPoly:
@@ -546,7 +440,7 @@ class MultiLaurentPoly:
         for exps, c in other.coeffs.items():
             s = data.get(exps, 0) + c
             if s:
-                data[exps] = s
+                data[exps] = s if type(s) is int else _coeff(s)
             else:
                 data.pop(exps, None)
         out = MultiLaurentPoly.zero(self.nvars)
@@ -574,6 +468,9 @@ class MultiLaurentPoly:
                     data[e] = s
                 else:
                     data.pop(e, None)
+        for e, s in data.items():
+            if type(s) is not int:
+                data[e] = _coeff(s)
         out = MultiLaurentPoly.zero(self.nvars)
         out.coeffs = data
         return out

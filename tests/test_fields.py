@@ -1,19 +1,21 @@
 """Exact kernels, ranks and RREFs of the fraction-free elimination in
 `alexkit.fields` against a sympy oracle and against a dense reference
-loop, and kernels at every field."""
+loop, kernels at every field, and the Laurent-polynomial scalars of
+generic t."""
 import cmath
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from alexkit.errors import NotAUnit
 from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
                             _fraction_free, kernel_basis, mat_mul, mat_rank)
-from alexkit.laurent import (LaurentPoly, RationalFunction, exact_div,
-                             gcd_laurent)
+from alexkit.laurent import LaurentPoly, exact_div, gcd_laurent
 from alexkit.tangles import braid_expr, tangle_system
 from util import random_braid
 
@@ -58,7 +60,23 @@ def _random_entries(rng):
     return rows, ncols
 
 
+def _laurent_rows(entries):
+    """Each row of p/q entries times the product of its denominators:
+    Laurent rows with the rank, the pivots and the RREF of the entries."""
+    out = []
+    for row in entries:
+        den = LaurentPoly.one()
+        for _, q in row:
+            den = den * q
+        out.append([exact_div(p * den, q) for p, q in row])
+    return out
+
+
 def _ours(field, entries, ncols):
+    """The entries as field scalars; at generic t, where only units
+    divide, as Laurent rows."""
+    if isinstance(field, GenericTField):
+        return Mat(_laurent_rows(entries), ncols)
     return Mat([[field.div(field.from_laurent(p), field.from_laurent(q))
                  for p, q in row] for row in entries], ncols)
 
@@ -79,17 +97,15 @@ def _oracle(entries, ncols, t=None):
 
 
 def _rref(field, m):
-    """Normalised pivot rows of the full fraction-free pass."""
+    """Pivot rows of the full fraction-free pass as (entry, pivot) pairs
+    of the integral ring; the RREF is entry / pivot."""
     rows, pivots = _fraction_free(field, m, full=True)
-    return [[field.quotient(rows[r][j], rows[r][col]) if j in rows[r]
-             else field.zero for j in range(m.ncols)]
+    return [[(rows[r].get(j, 0), rows[r][col]) for j in range(m.ncols)]
             for r, col in enumerate(pivots)], tuple(pivots)
 
 
-def _to_sym(field, x):
-    if isinstance(x, RationalFunction):
-        return _sym(x.num) / _sym(x.den)
-    return sympy.Rational(x.numerator, x.denominator)
+def _to_sym(x):
+    return _sym(x) if isinstance(x, LaurentPoly) else sympy.Integer(x)
 
 
 def _check_against_sympy(field, entries, ncols, t=None):
@@ -99,8 +115,9 @@ def _check_against_sympy(field, entries, ncols, t=None):
     got, pivots = _rref(field, m)
     assert pivots == want_pivots
     for r, row in enumerate(got):
-        for j, x in enumerate(row):
-            assert sympy.cancel(_to_sym(field, x) - want[r, j]) == 0, (r, j)
+        for j, (x, pivot) in enumerate(row):
+            assert sympy.cancel(_to_sym(x) / _to_sym(pivot)
+                                - want[r, j]) == 0, (r, j)
     return rank
 
 
@@ -150,6 +167,8 @@ def test_kernels_at_every_field():
                            for x in row)
                 if t is None:
                     generic_rank = rank
+                    assert all(isinstance(x, LaurentPoly) for row in k.rows
+                               for x in row)
                 else:
                     assert all(type(x) is Fraction for row in k.rows
                                for x in row)
@@ -164,20 +183,18 @@ def test_kernels_at_every_field():
 
 
 def _dense_integral_rows(field, m):
-    """Dense reference: every row times the lcm of its denominators."""
+    """Dense reference: every row times the lcm of its denominators, of
+    its coefficients' denominators at generic t."""
     out = []
     if isinstance(field, RationalPoint):
         for row in m.rows:
             den = math.lcm(*(x.denominator for x in row))
             out.append([x.numerator * (den // x.denominator) for x in row])
         return out, lambda a, b: a // b
-    one = LaurentPoly.one()
     for row in m.rows:
-        den = one
-        for x in row:
-            if x.den != den and x.den != one:
-                den = exact_div(den * x.den, gcd_laurent(den, x.den))
-        out.append([x.num * exact_div(den, x.den) for x in row])
+        den = math.lcm(*(c.denominator for x in row
+                         for c in x.coeffs.values()))
+        out.append([x * den for x in row])
     return out, exact_div
 
 
@@ -268,20 +285,92 @@ def test_sparse_elimination_matches_dense_loop_small():
 
 def test_sparse_elimination_matches_dense_loop_sparse():
     rng = random.Random(31)
-    for k in range(6):
+    for _ in range(6):
         entries, ncols = _sparse_entries(rng)
-        fields = _exact_fields()
-        for field in fields if k < 2 else fields[1:]:
+        for field in _exact_fields():
             _assert_same_as_dense(field, _ours(field, entries, ncols))
 
 
 def test_sparse_elimination_matches_dense_loop_tangle_systems():
     rng = random.Random(37)
-    for k in range(6):
+    for _ in range(6):
         b = random_braid(rng, max_strands=4, max_len=10, min_strands=3)
         system = tangle_system(braid_expr(b))
-        fields = _exact_fields()
-        for field in fields if k < 2 else fields[1:]:
+        for field in _exact_fields():
             m = Mat([[field.from_laurent(x) for x in row]
                      for row in system.matrix_rows()], system.nvars)
             _assert_same_as_dense(field, m)
+
+
+def test_generic_integral_rows_have_int_coefficients():
+    """Rows with Fraction coefficients are scaled to int coefficients by
+    a positive integer each, and keep the rank of the entries."""
+    rng = random.Random(41)
+    field = GenericTField()
+    seen_fraction = False
+    for _ in range(30):
+        entries, ncols = _random_entries(rng)
+        m = _ours(field, entries, ncols)
+        seen_fraction |= any(type(c) is Fraction for row in m.rows
+                             for x in row for c in x.coeffs.values())
+        rows, _ = field.integral_rows(m)
+        for row, want in zip(rows, m.rows):
+            assert all(type(c) is int for x in row.values()
+                       for c in x.coeffs.values())
+            assert set(row) == {j for j, x in enumerate(want) if x}
+            if row:
+                j = next(iter(row))
+                scale = exact_div(row[j], want[j])
+                assert list(scale.coeffs) == [0] and scale.coeffs[0] > 0
+                assert all(x == want[j] * scale for j, x in row.items())
+        assert mat_rank(field, m) == _oracle(entries, ncols)[0]
+    assert seen_fraction
+
+
+def test_generic_div_is_exact_by_units_only():
+    field = GenericTField()
+    t = LaurentPoly.t()
+    p = LaurentPoly({0: 3, 2: -1})
+    assert field.div(p, t) == p.shifted(-1)
+    assert field.div(p, LaurentPoly({1: -2})) == LaurentPoly(
+        {-1: Fraction(-3, 2), 1: Fraction(1, 2)})
+    for d in (LaurentPoly({0: 1, 1: 1}), LaurentPoly.zero()):
+        with pytest.raises(NotAUnit):
+            field.div(p, d)
+
+
+def _random_laurent_matrix(rng):
+    """Up to 6 x 8 with sparse Laurent entries, mostly integral, with
+    zero and dependent rows among them."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(0, 8)
+    rows = []
+    for i in range(nrows):
+        if i >= 2 and rng.random() < 0.25:
+            a, b = rng.sample(rows, 2)
+            s = LaurentPoly({rng.randint(-1, 1): rng.choice((1, -1, 2))})
+            rows.append([x * s + y for x, y in zip(a, b)])
+            continue
+        rows.append([rng.choice(_SPARSE_NUMS) * LaurentPoly(
+            {rng.randint(-1, 1): rng.choice((1, -1, 3))})
+            if rng.random() < 0.5 else LaurentPoly.zero()
+            for _ in range(ncols)])
+    return Mat(rows, ncols)
+
+
+def test_generic_kernels_are_primitive_laurent_bases():
+    """m k = 0 exactly, every kernel column has gcd 1, and the kernel has
+    n - rank columns."""
+    rng = random.Random(43)
+    field = GenericTField()
+    for _ in range(60):
+        m = _random_laurent_matrix(rng)
+        k = kernel_basis(field, m)
+        assert k.nrows == m.ncols
+        assert k.ncols == m.ncols - mat_rank(field, m)
+        product = mat_mul(field, m, k)
+        assert all(x.is_zero for row in product.rows for x in row)
+        for j in range(k.ncols):
+            g = LaurentPoly.zero()
+            for x in k.column(j):
+                g = gcd_laurent(g, x)
+            assert g == LaurentPoly.one()

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexkit.errors import NotAUnit, ZeroPolynomial
-from alexkit.laurent import (LaurentPoly, MultiLaurentPoly,
-                             RationalFunction, canonical_poly,
+from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              distinct_root_count, divmod_laurent, exact_div,
                              gcd_laurent, gcd_multivariate, mv_exact_div,
                              mv_normalize, normalize_unit)
@@ -118,29 +117,6 @@ def test_evaluate_points():
     assert abs(p.evaluate(1j) - (1j ** -1 + 2j)) < 1e-12
     with pytest.raises(NotAUnit):
         p.evaluate(Fraction(0))
-
-
-@given(poly_strategy(), poly_strategy(min_exp=0, max_exp=2),
-       poly_strategy(), poly_strategy(min_exp=0, max_exp=2))
-@settings(max_examples=40, deadline=None)
-def test_rational_function_field_laws(an, ad, bn, bd):
-    if ad.is_zero or bd.is_zero:
-        return
-    a = RationalFunction(an, ad)
-    b = RationalFunction(bn, bd)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert a - a == RationalFunction.zero()
-    if not b.is_zero:
-        assert (a / b) * b == a
-    assert a * RationalFunction.one() == a
-
-
-def test_rational_function_reduces():
-    t = LaurentPoly.t()
-    one = LaurentPoly.one()
-    r = RationalFunction((t - one) * (t + one), t - one)
-    assert r == RationalFunction(t + one)
 
 
 def test_multivariable_roundtrip_and_collapse():
@@ -274,9 +250,8 @@ def test_integral_fraction_is_stored_as_int():
 
 
 def test_integral_results_of_fraction_arithmetic_are_ints():
-    """Sums, differences and products of Fraction coefficients of
-    univariate polynomials are stored as ints where they are integral,
-    as the constructors store them."""
+    """Sums, differences and products of Fraction coefficients are stored
+    as ints where they are integral, as the constructors store them."""
     half = Fraction(1, 2)
     p = LaurentPoly({0: 2, 1: 4}) * LaurentPoly({0: half})
     assert p.coeffs == {0: 1, 1: 2} and _all_int(p)
@@ -291,3 +266,9 @@ def test_integral_results_of_fraction_arithmetic_are_ints():
     assert r.coeffs == {0: 2} and _all_int(r)
     m = MultiLaurentPoly({(1, 0): half, (0, 1): half}, 2)
     assert _all_int(m.set_all_equal())
+    mv_half = MultiLaurentPoly({(1, 0): half}, 2)
+    prod = mv_half * MultiLaurentPoly.constant(2, 2)
+    assert prod.coeffs == {(1, 0): 1} and _all_int(prod)
+    total = mv_half + MultiLaurentPoly({(1, 0): Fraction(3, 2)}, 2)
+    assert total.coeffs == {(1, 0): 2} and _all_int(total)
+    assert _all_int(mv_half - mv_half + MultiLaurentPoly.one(2))
