@@ -1,16 +1,19 @@
 """Alexander matrices from crossing lists, elementary-ideal invariants,
 fibre dimensions, virtual classes, ring presentations, and the
-multivariable Alexander polynomial.
+multivariable Alexander polynomial, read off two Fox minors by Torres's
+theorem and cross-checked between them.
 """
 from __future__ import annotations
 
 from . import fields
-from .errors import (UnknownGenerator, UseMultivariableRoute,
-                     UseUnivariateRoute)
+from .errors import (RouteDisagreement, UnknownGenerator,
+                     UseMultivariableRoute, UseUnivariateRoute)
 from .fields import ComplexPoint, Mat, RationalPoint, ScalarField
 from .fox import AbelianWeights, fox_derivative_abelianized, reduce_word
 from .laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                      distinct_root_count, gcd_multivariate)
+                      distinct_root_count, mv_exact_div, mv_normalize)
+# unused here; perfbench/layertrace.py traces alexander.gcd_multivariate
+from .laurent import gcd_multivariate  # noqa: F401
 from .snf import poly_det, smith_normal_form
 
 
@@ -144,8 +147,8 @@ def fibre_dimension(m, t, tol=1e-9):
         field = ComplexPoint(t, tol)
     else:
         field = RationalPoint(t)
-    rows = [[field.from_laurent(entry) for entry in row]
-            for row in m.univariate_rows()]
+    rows = [[field.from_laurent(entry) if entry else field.zero
+             for entry in row] for row in m.univariate_rows()]
     return m.arc_count - fields.mat_rank(field, Mat(rows, m.arc_count))
 
 
@@ -234,23 +237,46 @@ def ring_presentation(d):
     return RingPresentation(m.arc_count, m.univariate_rows())
 
 
+def _torres_quotient(m, col, var):
+    """A_col / (var - 1), A_col the minor of m without column col, as its
+    canonical associate; RouteDisagreement if the division is inexact."""
+    one = MultiLaurentPoly.one(m.variable_count)
+    minor = poly_det([row[:col] + row[col + 1:] for row in m.rows], one)
+    try:
+        quotient = mv_exact_div(minor, var - one)
+    except ValueError:
+        raise RouteDisagreement(
+            "a Fox minor is not divisible by %s - 1" % var.render())
+    return mv_normalize(quotient)
+
+
 def multivariable_alexander(d):
-    """Gcd of the (n-1)x(n-1) minors of the multivariable matrix."""
+    """Delta_L(t1..ts) of a link of s >= 2 components, from two minors.
+
+    By Torres (Ann. Math. 57, 1953; Fox, Ann. Math. 59, 1954), the minor
+    A_j of the Fox matrix without column j is an associate of
+    (t_k - 1) Delta_L, t_k being the variable of arc j's component.  So
+    Delta_L is A_j / (t_k - 1) for j the first arc of component 1,
+    cross-checked against the quotient from the first arc of component 2:
+    RouteDisagreement if they differ, if exactly one minor is 0 or if a
+    division is inexact.  Delta_L is 0 on a split link, and when a
+    component never passes under (more arcs than relations)."""
     if d.component_count < 2:
         raise UseUnivariateRoute("use the univariate route for knots")
     m = alexander_matrix(d)
-    n = m.arc_count
-    size = n - 1
-    if size > len(m.rows):
-        return MultiLaurentPoly.zero(m.variable_count)
-    one = MultiLaurentPoly.one(m.variable_count)
-    minors = []
-    full = [list(r) for r in m.rows]
-    for drop_col in range(n):
-        sub = [[entry for j, entry in enumerate(row) if j != drop_col]
-               for row in full]
-        minors.append(poly_det(sub, one))
-    return gcd_multivariate(minors)
+    nvars = m.variable_count
+    if m.arc_count - 1 > len(m.rows):
+        return MultiLaurentPoly.zero(nvars)
+    # components are numbered in the order of their least arcs
+    second = min(arc for arc, k in d.components.items() if k == 2)
+    delta = _torres_quotient(m, 0, MultiLaurentPoly.variable(1, nvars))
+    check = _torres_quotient(m, second - 1,
+                             MultiLaurentPoly.variable(2, nvars))
+    if delta != check:
+        raise RouteDisagreement(
+            "Torres quotients of two Fox minors differ: %s and %s"
+            % (delta.render(), check.render()))
+    return delta
 
 
 def knot_delta(d):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import re
 import sys
@@ -26,7 +27,7 @@ from .errors import (AlexkitError, ParseError, RouteDisagreement,
                      UseMultivariableRoute)
 from .fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
                      mat_identity)
-from .laurent import normalize_unit
+from .laurent import LaurentPoly, canonical_poly, normalize_unit
 from .tangles import (Span, braid_closure_expr, closed_tangle_delta,
                       evaluate_tangle, parse_tangle)
 
@@ -189,10 +190,19 @@ def _run_verb(verb, text, fmt, field):
     return {"verb": verb, "input": text or "", **obj}, out
 
 
+def _torres_delta(diagram):
+    """(t - 1) Delta_L(t, .., t) of a link, which Torres's condition
+    equates with its one-variable Delta."""
+    t = LaurentPoly.t()
+    mv = multivariable_alexander(diagram)
+    return canonical_poly((t - LaurentPoly.one()) * mv.set_all_equal())
+
+
 def selftest_report(names=None):
     """Cross-route consistency over the catalog; returns (lines, ok).
     A route fails when its value differs from the catalog's or when its
-    own cross-check raises RouteDisagreement."""
+    own cross-check raises RouteDisagreement.  Links also take the `mv`
+    route, the Torres condition on the multivariable Delta_L."""
     if names is None:
         names = catalog_names()
     lines = []
@@ -206,6 +216,8 @@ def selftest_report(names=None):
             "tqft": lambda: closed_tangle_delta(
                 braid_closure_expr(entry.braid)),
         }
+        if entry.crossing_list.component_count > 1:
+            routes["mv"] = lambda: _torres_delta(entry.crossing_list)
         bad = []
         for route, compute in routes.items():
             try:
@@ -238,6 +250,13 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """build_parser(), once per process: argparse leaves a parser as it
+    found it after each parse."""
+    return build_parser()
+
+
 def _emit_json(obj):
     return json.dumps(obj, separators=(",", ":"))
 
@@ -259,9 +278,8 @@ def _bind_t_values(argv):
 
 
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_intermixed_args(_bind_t_values(argv))
+        args = _parser().parse_intermixed_args(_bind_t_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -1,11 +1,13 @@
 """Fox-route invariants: Alexander matrices, elementary ideals, fibre
 dimensions, virtual classes, ring presentations, multivariable route."""
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from alexkit import alexander
 from alexkit.alexander import (AlexanderData, alexander_data,
                                alexander_matrix, component_weights,
                                fibre_dimension, knot_delta,
@@ -14,12 +16,14 @@ from alexkit.alexander import (AlexanderData, alexander_data,
 from alexkit.burau import closure_alexander
 from alexkit.codes import (BraidWord, braid_closure, catalog_lookup,
                            catalog_names, parse_braid)
-from alexkit.errors import (NotAUnit, UseMultivariableRoute,
-                            UseUnivariateRoute)
+from alexkit.cli import run
+from alexkit.errors import (NotAUnit, RouteDisagreement,
+                            UseMultivariableRoute, UseUnivariateRoute)
 from alexkit.fox import AbelianWeights
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                             distinct_root_count, normalize_unit)
-from alexkit.snf import smith_normal_form
+                             distinct_root_count, gcd_multivariate,
+                             mv_normalize, normalize_unit)
+from alexkit.snf import poly_det, smith_normal_form
 from util import random_braid
 
 
@@ -257,6 +261,98 @@ def test_multivariable_unlink_is_zero():
     d = braid_closure(BraidWord(2))
     assert multivariable_alexander(d).is_zero
     assert knot_delta(d).is_zero
+
+
+def _fox_minors(d):
+    """Every (n-1)-minor A_j of the multivariable Fox matrix, or None when
+    there are fewer relations than n - 1."""
+    m = alexander_matrix(d)
+    n = m.arc_count
+    if n - 1 > len(m.rows):
+        return None
+    one = MultiLaurentPoly.one(m.variable_count)
+    return [poly_det([[x for j, x in enumerate(row) if j != col]
+                      for row in m.rows], one) for col in range(n)]
+
+
+_LINK_WORDS = ("2:", "3:", "3: s1", "3: s1 s1", "4: s1 s1 s3 s3",
+               "5: s1 s1 s3 s4 s3 s4", "2: s1 S1", "3: s1 s1 s2 s2")
+
+
+def _link_diagrams():
+    """Catalog links, split links, crossing-less strands and 50 random 2-
+    and 3-component closures on at most 5 strands and 12 letters, each
+    generator present (a strand without crossings makes Delta_L = 0)."""
+    diagrams = [catalog_lookup(name).crossing_list
+                for name in ("hopf", "solomon")]
+    diagrams += [braid_closure(parse_braid(w)) for w in _LINK_WORDS]
+    rng = random.Random(83)
+    links = 0
+    while links < 50:
+        b = random_braid(rng, max_strands=5, max_len=12)
+        used = {abs(x) for x in b.letters}
+        if b.component_count() in (2, 3) and len(used) == b.strands - 1:
+            links += 1
+            diagrams.append(braid_closure(b))
+    return diagrams
+
+
+def test_multivariable_matches_gcd_of_all_minors():
+    """The two Torres minors give the gcd of all n minors."""
+    nonzero = 0
+    for d in _link_diagrams():
+        minors = _fox_minors(d)
+        nvars = d.component_count
+        want = (MultiLaurentPoly.zero(nvars) if minors is None
+                else gcd_multivariate(minors))
+        got = multivariable_alexander(d)
+        assert got == want
+        nonzero += not got.is_zero
+    assert nonzero >= 25
+
+
+def test_every_minor_is_torres_associate():
+    """A_j = (t_k - 1) Delta_L up to a unit, k the component of arc j."""
+    for d in _link_diagrams():
+        delta = multivariable_alexander(d)
+        minors = _fox_minors(d)
+        if minors is None:
+            assert delta.is_zero
+            continue
+        one = MultiLaurentPoly.one(delta.nvars)
+        for j, minor in enumerate(minors):
+            t_k = MultiLaurentPoly.variable(d.components[j + 1], delta.nvars)
+            assert mv_normalize(minor) == mv_normalize((t_k - one) * delta)
+
+
+@pytest.mark.parametrize("wrong", ["factor", "zero", "inexact"])
+def test_disagreeing_second_minor(wrong, tmp_path, capsys, monkeypatch):
+    """A second minor off Torres's form raises RouteDisagreement: a
+    different quotient, a lone zero minor, or no factor t2 - 1."""
+    word = "2: s1 s1 s1 s1"
+    one = MultiLaurentPoly.one(2)
+    calls = []
+
+    def patched(rows, unit):
+        det = poly_det(rows, unit)
+        calls.append(det)
+        if len(calls) % 2:
+            return det
+        return {"factor": det * (MultiLaurentPoly.variable(1, 2) + one),
+                "zero": MultiLaurentPoly.zero(2),
+                "inexact": one}[wrong]
+
+    monkeypatch.setattr(alexander, "poly_det", patched)
+    with pytest.raises(RouteDisagreement):
+        multivariable_alexander(braid_closure(parse_braid(word)))
+    assert run(["alexander", word]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    path = tmp_path / "batch.txt"
+    path.write_text(word + "\n")
+    assert run(["alexander", "--file", str(path)]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert (line["error_type"], line["exit_code"]) == ("RouteDisagreement", 1)
 
 
 def test_solomon_link_delta():

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 import alexkit
-from alexkit import BraidWord, burau, errors
+from alexkit import BraidWord, burau, cli, errors
 from alexkit.cli import parse_t_spec, run, selftest_report
 from alexkit.errors import ParseError, RouteDisagreement
 from alexkit.fields import ComplexPoint, GenericTField, RationalPoint
+from alexkit.laurent import MultiLaurentPoly
 
 
 def _run(capsys, argv):
@@ -158,6 +159,24 @@ def test_selftest_reports_route_disagreement(capsys, monkeypatch):
                      "hopf: ok"]
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 1 and "FAIL (burau)" in out
+
+
+def test_selftest_checks_torres_on_links(monkeypatch):
+    # a multivariable Delta_L off by a factor fails the Torres condition
+    # of both catalog links; a minor that raises fails it too
+    right = cli.multivariable_alexander
+    factor = MultiLaurentPoly.variable(1, 2) + MultiLaurentPoly.one(2)
+    monkeypatch.setattr(cli, "multivariable_alexander",
+                        lambda d: right(d) * factor)
+    lines, ok = selftest_report(["hopf", "solomon", "trefoil"])
+    assert not ok
+    assert lines == ["hopf: FAIL (mv)", "solomon: FAIL (mv)", "trefoil: ok"]
+
+    def disagree(d):
+        raise RouteDisagreement("minors differ")
+
+    monkeypatch.setattr(cli, "multivariable_alexander", disagree)
+    assert selftest_report(["hopf"]) == (["hopf: FAIL (mv)"], False)
 
 
 def test_exit_codes(capsys):
