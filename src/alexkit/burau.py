@@ -4,10 +4,10 @@ minor of Id - Burau.
 """
 from __future__ import annotations
 
-from .errors import EmptyMatrix, RouteDisagreement
+from .errors import EmptyMatrix, RouteDisagreement, ValidationError
 from .fields import Mat, kernel_basis
 from .laurent import LaurentPoly, canonical_poly, exact_div, normalize_unit
-from .snf import minor_matrix, poly_det
+from .snf import poly_det
 from .tangles import Span
 
 
@@ -35,48 +35,34 @@ def _identity_rows(n):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _generator_rows(n, letter):
-    """The block [[1-t, t], [1, 0]] (or its exact inverse) at position |letter|."""
-    t = LaurentPoly.t()
-    one = LaurentPoly.one()
-    tinv = LaurentPoly.monomial(-1)
-    rows = _identity_rows(n)
-    i = abs(letter) - 1
-    if letter > 0:
-        rows[i][i] = one - t
-        rows[i][i + 1] = t
-        rows[i + 1][i] = one
-        rows[i + 1][i + 1] = LaurentPoly.zero()
-    else:
-        rows[i][i] = LaurentPoly.zero()
-        rows[i][i + 1] = one
-        rows[i + 1][i] = tinv
-        rows[i + 1][i + 1] = one - tinv
-    return rows
-
-
-def _mat_mul_poly(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = LaurentPoly.zero()
-            for k in range(n):
-                if a[i][k].is_zero or b[k][j].is_zero:
-                    continue
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def burau_unreduced(b):
-    """Ordered product of generator blocks; identity for the empty word."""
+    """Ordered product of the generator blocks [[1-t, t], [1, 0]] (s_i)
+    and [[0, 1], [t^-1, 1-t^-1]] (S_i) on strands i, i+1; the identity
+    for the empty word.
+
+    Right-multiplying by a block changes only columns i and i+1, so each
+    letter updates those two entries of every row in place: with
+    a = M[r][i] and c = M[r][i+1], s_i gives ((1-t)a + c, ta) and S_i
+    gives (t^-1 c, a + (1-t^-1)c).  Multiplying by t^+-1 is a shift, and
+    a row whose two entries are zero is skipped.
+    """
     n = b.strands
     rows = _identity_rows(n)
     for letter in b.letters:
-        rows = _mat_mul_poly(rows, _generator_rows(n, letter))
+        i = abs(letter) - 1
+        j = i + 1
+        for row in rows:
+            a, c = row[i], row[j]
+            if not (a or c):
+                continue
+            if letter > 0:
+                ta = a.shifted(1)
+                row[i] = a + c - ta
+                row[j] = ta
+            else:
+                tc = c.shifted(-1)
+                row[i] = tc
+                row[j] = a + c - tc
     return BurauMatrix(rows, n)
 
 
@@ -134,12 +120,18 @@ def closure_alexander(b, deleted_index=0):
     as its canonical associate (a link's minor can carry an integer
     content, a unit of Q[t,t^-1], which the Fox route's gcd divides out);
     cross-checked against the reduced-Burau formula
-    (1-t) det(Id - reduced) = (1-t^n) * minor when the closure is a knot."""
+    (1-t) det(Id - reduced) = (1-t^n) * minor when the closure is a knot.
+    An index outside 0..strands-1 raises `ValidationError`."""
+    k = deleted_index
+    if k not in range(b.strands):
+        raise ValidationError("deleted index %r is outside 0..%d"
+                              % (k, b.strands - 1))
     m = burau_unreduced(b)
-    sub = minor_matrix(_id_minus(m.rows), deleted_index, deleted_index)
-    det = poly_det(sub, LaurentPoly.one())
+    one = LaurentPoly.one()
+    sub = [[(one - x) if i == j else -x for j, x in enumerate(row) if j != k]
+           for i, row in enumerate(m.rows) if i != k]
+    det = poly_det(sub, one)
     if b.strands >= 2 and b.component_count() == 1:
-        one = LaurentPoly.one()
         t = LaurentPoly.t()
         red_det = poly_det(_id_minus(_reduce_rows(m.rows, b.strands)), one)
         lhs = (one - t) * red_det

@@ -251,9 +251,3 @@ def _bareiss_det(m, one, zero, divide):
         prev = pivot
     det = m[n - 1][n - 1]
     return -det if negate else det
-
-
-def minor_matrix(rows, drop_row, drop_col):
-    """Matrix with one row and one column removed."""
-    return [[entry for j, entry in enumerate(row) if j != drop_col]
-            for i, row in enumerate(rows) if i != drop_row]

@@ -7,9 +7,10 @@ import pytest
 
 from alexkit.burau import (burau_reduced, burau_unreduced,
                            closure_alexander, span_trace_fix)
+from alexkit.cli import run
 from alexkit.codes import (BraidWord, braid_closure, catalog_lookup,
                            parse_braid)
-from alexkit.errors import EmptyMatrix
+from alexkit.errors import EmptyMatrix, ValidationError
 from alexkit.fields import GenericTField, RationalPoint
 from alexkit.laurent import LaurentPoly, normalize_unit
 from alexkit.snf import poly_det
@@ -32,6 +33,73 @@ def test_inverse_block():
     ident = burau_unreduced(BraidWord(2))
     assert burau_unreduced(b) == ident
     assert burau_unreduced(BraidWord(2, [-1, 1])) == ident
+
+
+def _dense_burau(b):
+    """The product as full n x n matrix products of the generator blocks:
+    the reference for the two-column update."""
+    n = b.strands
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    t, tinv = LaurentPoly.t(), LaurentPoly.monomial(-1)
+
+    def identity():
+        return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+    out = identity()
+    for letter in b.letters:
+        block = identity()
+        i = abs(letter) - 1
+        if letter > 0:
+            block[i][i], block[i][i + 1] = one - t, t
+            block[i + 1][i], block[i + 1][i + 1] = one, zero
+        else:
+            block[i][i], block[i][i + 1] = zero, one
+            block[i + 1][i], block[i + 1][i + 1] = tinv, one - tinv
+        out = [[sum((out[r][k] * block[k][c] for k in range(n)), zero)
+                for c in range(n)] for r in range(n)]
+    return out
+
+
+def test_product_matches_dense_blocks():
+    rng = random.Random(107)
+    words = [BraidWord(1), BraidWord(4), BraidWord(2, [1, 1, -1])]
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        length = rng.randint(0, 30) if n > 1 else 0
+        words.append(BraidWord(n, [rng.choice([1, -1]) * rng.randint(1, n - 1)
+                                   for _ in range(length)]))
+    one = LaurentPoly.one()
+    for b in words:
+        m = burau_unreduced(b)
+        assert [list(r) for r in m.rows] == _dense_burau(b), b.render()
+        for row in m.rows:
+            assert sum(row, LaurentPoly.zero()) == one
+            assert all(type(c) is int for x in row for c in x.coeffs.values())
+
+
+def test_word_times_inverse_is_identity():
+    rng = random.Random(109)
+    ident = burau_unreduced(BraidWord(6))
+    for _ in range(10):
+        letters = [rng.choice([1, -1]) * rng.randint(1, 5)
+                   for _ in range(rng.randint(1, 25))]
+        inverse = [-g for g in reversed(letters)]
+        assert burau_unreduced(BraidWord(6, letters + inverse)) == ident
+        assert burau_unreduced(BraidWord(6, inverse + letters)) == ident
+
+
+@pytest.mark.parametrize("word, expected", [
+    ("2: s1", "[1 - t, t]\n[1, 0]\n"),
+    ("5: s1 S2 s3 S4 s2 s1 S3 s4 S1",
+     "[1 - t, t - t^2, 0, t^2, 0]\n"
+     "[1, 0, 0, 0, 0]\n"
+     "[0, 1 - t, 0, 0, t]\n"
+     "[0, 1, 0, 0, 0]\n"
+     "[0, 0, t^-2, -t^-2 + t^-1, -t^-1 + 1]\n"),
+])
+def test_burau_verb_output(capsys, word, expected):
+    assert run(["burau", word]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_braid_relations():
@@ -162,6 +230,22 @@ def test_closure_matches_fox_route():
         assert lhs == rhs or (lhs.is_zero and rhs.is_zero), b.render()
 
 
+def test_closure_matches_fox_route_many_strands():
+    from alexkit.alexander import knot_delta
+    rng = random.Random(113)
+    for _ in range(20):
+        n = rng.randint(8, 10)
+        length = rng.randint(50, 70)
+        # a word closes to a knot only if its length is n - 1 mod 2
+        length += (length - n + 1) % 2
+        b = None
+        while b is None or b.component_count() != 1:
+            b = BraidWord(n, [rng.choice([1, -1]) * rng.randint(1, n - 1)
+                              for _ in range(length)])
+        assert closure_alexander(b) == knot_delta(braid_closure(b)), \
+            b.render()
+
+
 def test_closure_matches_fox_route_large():
     # up to 7 strands and 20 letters, links included: the Burau minor is
     # returned as its canonical associate, so the routes agree exactly
@@ -186,3 +270,21 @@ def test_link_closure_drops_integer_content():
 
 def test_unlink_closure_is_zero():
     assert closure_alexander(BraidWord(2)).is_zero
+
+
+def test_closure_any_deleted_index():
+    rng = random.Random(127)
+    for _ in range(10):
+        b = random_braid(rng, max_strands=5, max_len=10)
+        base = closure_alexander(b)
+        for k in range(1, b.strands):
+            assert closure_alexander(b, k) == base, (b.render(), k)
+
+
+@pytest.mark.parametrize("word", ["3: s1 s1 s2", "3: s1 s1", "2: s1", "1:"])
+def test_closure_rejects_bad_deleted_index(word):
+    b = parse_braid(word)
+    for index in (-1, b.strands, b.strands + 2, 0.5):
+        with pytest.raises(ValidationError) as info:
+            closure_alexander(b, index)
+        assert info.value.exit_code == 2

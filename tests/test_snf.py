@@ -9,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              exact_div, gcd_laurent, normalize_unit)
-from alexkit.snf import minor_matrix, poly_det, smith_normal_form
+from alexkit.snf import poly_det, smith_normal_form
 from util import random_poly
 
 _t = sympy.symbols("t")
@@ -250,11 +250,6 @@ def _mv_to_sympy(p, xs):
     return sum((sympy.Rational(c.numerator, c.denominator)
                 * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
                 for exps, c in p.coeffs.items()), sympy.Integer(0))
-
-
-def test_minor_matrix():
-    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    assert minor_matrix(rows, 1, 2) == [[1, 2], [7, 8]]
 
 
 def test_gcd_consistency_with_snf_scalars():
