@@ -286,8 +286,6 @@ def knot_delta(d):
     if s == 1:
         m = alexander_matrix(d)
     else:
-        t = MultiLaurentPoly.variable(1, 1)
-        weights = AbelianWeights(
-            {arc: t for arc in range(1, d.arc_count + 1)}, 1)
-        m = alexander_matrix(d, weights)
+        m = alexander_matrix(
+            d, AbelianWeights.all_t(range(1, d.arc_count + 1)))
     return _invariants(m)[1][0]

@@ -253,8 +253,11 @@ def build_parser():
 @functools.lru_cache(maxsize=None)
 def _parser():
     """build_parser(), once per process: argparse leaves a parser as it
-    found it after each parse."""
-    return build_parser()
+    found it after each parse.  Its usage string is fixed here, since
+    parse_intermixed_args formats it on every call while it is unset."""
+    parser = build_parser()
+    parser.usage = parser.format_usage()[len("usage: "):]
+    return parser
 
 
 def _emit_json(obj):

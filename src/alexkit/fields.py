@@ -23,8 +23,9 @@ from .laurent import LaurentPoly, exact_div, gcd_laurent
 
 
 class ScalarField:
-    """Ring of scalars at which a tangle or braid is evaluated; the
-    shared bodies serve the fixed points t, whose scalars are numbers.
+    """Ring of scalars at which a tangle or braid is evaluated, holding
+    its value of t as `t`; scalars combine by the arithmetic operators.
+    The shared bodies serve the fixed points t, whose scalars are numbers.
 
     An exact field also maps a Mat to sparse integral rows, returning
     them with the exact division of that ring (`integral_rows`), and
@@ -32,23 +33,8 @@ class ScalarField:
 
     exact = True
 
-    def t_value(self):
-        return self.t
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def div(self, a, b):
         return a / b
-
-    def neg(self, a):
-        return -a
 
     def from_laurent(self, p):
         return p.evaluate(self.t)
@@ -62,11 +48,9 @@ class GenericTField(ScalarField):
     fibre.  Only units c*t^k can be divided by."""
 
     def __init__(self):
+        self.t = LaurentPoly.t()
         self.zero = LaurentPoly.zero()
         self.one = LaurentPoly.one()
-
-    def t_value(self):
-        return LaurentPoly.t()
 
     def div(self, a, b):
         if not b.is_unit():
@@ -181,7 +165,7 @@ def mat_mul(field, a, b):
         for j in range(b.ncols):
             acc = field.zero
             for k in range(a.ncols):
-                acc = field.add(acc, field.mul(a.rows[i][k], b.rows[k][j]))
+                acc = acc + a.rows[i][k] * b.rows[k][j]
             row.append(acc)
         out.append(row)
     return Mat(out, b.ncols)

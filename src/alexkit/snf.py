@@ -18,7 +18,11 @@ form a diagonal matrix equivalent to the input, and replacing each pair
 (a, b) of its entries with (gcd, lcm) makes it a divisibility chain
 (Newman, Integral Matrices, 1972).
 
-The Smith form and `poly_det` share no code: the Fox route reduces its
+`poly_det` is one sparse elimination loop too, whose pivot is the unit
+of least Markowitz cost or else an entry of fewest terms: unit steps
+clear the pivot's column exactly until the first non-unit pivot, and
+fraction-free Bareiss steps follow it.  The Smith form and `poly_det`
+share no code: the Fox route reduces its
 matrices with `smith_normal_form`, while the Burau and multivariable
 routes take determinants with `poly_det`, so the Fox route checks the
 other two with elimination code they do not use."""
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 
+from .errors import DimensionMismatch
 from .laurent import (LaurentPoly, MultiLaurentPoly, _primitive_coeffs,
                       canonical_poly, divmod_laurent, exact_div,
                       gcd_laurent, mv_exact_div)
@@ -143,44 +148,48 @@ def smith_normal_form(rows):
 def poly_det(rows, one):
     """Exact determinant of a square LaurentPoly or MultiLaurentPoly
     matrix; `one` is the ring unit of the entry type (the value for the
-    empty matrix).
+    empty matrix).  A matrix that is not square raises
+    `DimensionMismatch`.
 
-    Two phases.  While some entry is a unit c*t^k (a single term), the
-    unit of least Markowitz cost (r - 1)(c - 1) is the pivot: row
-    operations, exact because the pivot is invertible, clear its column,
-    and expanding along that column leaves +-pivot times the determinant
-    of what remains.  The rest is reduced by forward fraction-free
-    elimination (Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
-    whose every division by the previous pivot is exact in the Laurent
-    ring.  Units go first because Bareiss alone fills in the sparse Fox
-    minors, and its products grow with every step.
+    One elimination loop over rows stored as {column: entry}.  The pivot
+    is the unit c*t^k (a single term) of least Markowitz cost
+    (r - 1)(c - 1), or else an entry of fewest terms.  Until the first
+    non-unit pivot, a step clears the pivot's column exactly, since the
+    pivot is invertible, and expanding along that column leaves +-pivot
+    times the determinant of what remains.  From the first non-unit pivot
+    on, every remaining row becomes (pivot * row - f * pivot row) /
+    previous pivot, f its entry in the pivot column, each division exact
+    in the Laurent ring (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968; any
+    pivot order will do), and the last pivot is the determinant of what
+    the unit steps left.  The sign of each step is (-1)^(i + k) for the
+    pivot's row and column positions among those left.  Units go first
+    because Bareiss alone fills in the sparse Fox minors, and its
+    products grow with every step.
     """
     n = len(rows)
-    if n == 0:
-        return one
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch(
+            "determinant of a non-square matrix: %d rows of lengths %s"
+            % (n, sorted({len(row) for row in rows})))
     if isinstance(one, MultiLaurentPoly):
         divide, invert = mv_exact_div, MultiLaurentPoly.term_inverse
     else:
         divide, invert = exact_div, lambda p: p ** -1
-    zero = one - one
     live = [{j: x for j, x in enumerate(row) if not x.is_zero}
             for row in rows]
     cols = list(range(n))
     factor = one
+    prev = None
     while live:
         counts = {}
         for row in live:
             if not row:
-                return zero
+                return one - one
             for j in row:
                 counts[j] = counts.get(j, 0) + 1
         if len(counts) < len(cols):
-            return zero
+            return one - one
         best = None
         for i, row in enumerate(live):
             for j, x in row.items():
@@ -189,65 +198,42 @@ def poly_det(rows, one):
                     if best is None or cost < best[0]:
                         best = (cost, i, j)
         if best is None:
-            break
+            best = min((len(x.coeffs), i, j) for i, row in enumerate(live)
+                       for j, x in row.items())
         _, i, j = best
         pivot_row = live.pop(i)
         pivot = pivot_row.pop(j)
         k = cols.index(j)
         del cols[k]
-        factor = factor * pivot if (i + k) % 2 == 0 else -(factor * pivot)
-        inverse = invert(pivot)
-        scaled = {c: x * inverse for c, x in pivot_row.items()}
-        for row in live:
+        if (i + k) % 2:
+            factor = -factor
+        if prev is None and len(pivot.coeffs) == 1:
+            factor = factor * pivot
+            inverse = invert(pivot)
+            scaled = {c: x * inverse for c, x in pivot_row.items()}
+            for row in live:
+                f = row.pop(j, None)
+                if f is None:
+                    continue
+                for c, x in scaled.items():
+                    new = row[c] - f * x if c in row else -(f * x)
+                    if new.is_zero:
+                        row.pop(c, None)
+                    else:
+                        row[c] = new
+            continue
+        for r, row in enumerate(live):
             f = row.pop(j, None)
-            if f is None:
-                continue
-            for c, x in scaled.items():
-                new = row[c] - f * x if c in row else -(f * x)
-                if new.is_zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = new
-    rest = [[row.get(c, zero) for c in cols] for row in live]
-    return factor * _bareiss_det(rest, one, zero, divide)
-
-
-def _bareiss_det(m, one, zero, divide):
-    """Determinant of a dense square matrix (reduced in place) by forward
-    fraction-free elimination.  Each pivot is a nonzero entry of fewest
-    terms, swapped into place by a row and a column swap."""
-    n = len(m)
-    if n == 0:
-        return one
-    negate = False
-    prev = None
-    for k in range(n - 1):
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                x = m[i][j]
-                if not x.is_zero and (best is None
-                                      or len(x.coeffs) < best[0]):
-                    best = (len(x.coeffs), i, j)
-        if best is None:
-            return zero
-        _, i, j = best
-        if i != k:
-            m[k], m[i] = m[i], m[k]
-            negate = not negate
-        if j != k:
-            for row in m:
-                row[k], row[j] = row[j], row[k]
-            negate = not negate
-        top = m[k]
-        pivot = top[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                x = pivot * row[j]
-                if not f.is_zero and not top[j].is_zero:
-                    x = x - f * top[j]
-                row[j] = x if prev is None else divide(x, prev)
+            new = {c: pivot * x for c, x in row.items()}
+            if f is not None:
+                for c, y in pivot_row.items():
+                    x = new.get(c)
+                    x = -(f * y) if x is None else x - f * y
+                    if x.is_zero:
+                        del new[c]
+                    else:
+                        new[c] = x
+            live[r] = new if prev is None else {
+                c: divide(x, prev) for c, x in new.items()}
         prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if negate else det
+    return factor if prev is None else factor * prev

@@ -186,17 +186,17 @@ def generator_span(name, field):
     """Spans of the elementary tangles at the field's value of t."""
     one = field.one
     zero = field.zero
-    t = field.t_value()
+    t = field.t
     if name in ("id+", "id-"):
         return identity_span(field, 1)
     if name == "xp":
         left = mat_identity(field, 2)
-        right = Mat([[field.sub(one, t), t], [one, zero]], 2)
+        right = Mat([[one - t, t], [one, zero]], 2)
         return Span(field, 2, 2, 2, left, right)
     if name == "xm":
         tinv = field.div(one, t)
         left = mat_identity(field, 2)
-        right = Mat([[zero, one], [tinv, field.sub(one, tinv)]], 2)
+        right = Mat([[zero, one], [tinv, one - tinv]], 2)
         return Span(field, 2, 2, 2, left, right)
     if name in ("ev+-", "ev-+"):
         diag = Mat([[one], [one]], 1)
@@ -218,7 +218,7 @@ def compose_spans(s1, s2):
     glue_rows = []
     for i in range(s1.tgt_dim):
         glue_rows.append(tuple(s1.right.rows[i])
-                         + tuple(field.neg(x) for x in s2.left.rows[i]))
+                         + tuple(-x for x in s2.left.rows[i]))
     glue = Mat(glue_rows, s1.mid_dim + s2.mid_dim)
     k = kernel_basis(field, glue)
     top = Mat(k.rows[: s1.mid_dim], k.ncols)

@@ -1,16 +1,22 @@
 """Smith normal form over Q[t,t^-1] against a brute-force minor-gcd
-oracle (sympy), plus determinant checks."""
+oracle (sympy), plus determinant checks against sympy and against a
+two-phase elimination kept here as an oracle."""
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from alexkit.alexander import alexander_matrix
+from alexkit.codes import braid_closure
+from alexkit.errors import DimensionMismatch
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                             exact_div, gcd_laurent, normalize_unit)
+                             exact_div, gcd_laurent, mv_exact_div,
+                             normalize_unit)
 from alexkit.snf import poly_det, smith_normal_form
-from util import random_poly
+from util import random_braid, random_poly
 
 _t = sympy.symbols("t")
 
@@ -260,3 +266,175 @@ def test_gcd_consistency_with_snf_scalars():
         b = random_poly(rng, max_deg=2, allow_zero=False)
         factors = smith_normal_form([[a, b]])
         assert factors == [canonical_poly(gcd_laurent(a, b))]
+
+
+def _two_phase_det(rows, one):
+    """Oracle determinant in two phases: unit pivots of least Markowitz
+    cost clear their columns, then the rest is densified and reduced by
+    forward Bareiss elimination, each pivot a nonzero entry of fewest
+    terms swapped into place by a row and a column swap."""
+    if isinstance(one, MultiLaurentPoly):
+        divide, invert = mv_exact_div, MultiLaurentPoly.term_inverse
+    else:
+        divide, invert = exact_div, lambda p: p ** -1
+    zero = one - one
+    live = [{j: x for j, x in enumerate(row) if not x.is_zero}
+            for row in rows]
+    cols = list(range(len(rows)))
+    factor = one
+    while live:
+        counts = {}
+        for row in live:
+            if not row:
+                return zero
+            for j in row:
+                counts[j] = counts.get(j, 0) + 1
+        if len(counts) < len(cols):
+            return zero
+        units = [((len(row) - 1) * (counts[j] - 1), i, j)
+                 for i, row in enumerate(live)
+                 for j, x in row.items() if len(x.coeffs) == 1]
+        if not units:
+            break
+        _, i, j = min(units)
+        pivot_row = live.pop(i)
+        pivot = pivot_row.pop(j)
+        k = cols.index(j)
+        del cols[k]
+        factor = factor * pivot if (i + k) % 2 == 0 else -(factor * pivot)
+        scaled = {c: x * invert(pivot) for c, x in pivot_row.items()}
+        for row in live:
+            f = row.pop(j, None)
+            if f is None:
+                continue
+            for c, x in scaled.items():
+                new = row.get(c, zero) - f * x
+                if new.is_zero:
+                    row.pop(c, None)
+                else:
+                    row[c] = new
+    m = [[row.get(c, zero) for c in cols] for row in live]
+    n = len(m)
+    prev = None
+    for k in range(n - 1):
+        live = [(len(m[i][j].coeffs), i, j) for i in range(k, n)
+                for j in range(k, n) if not m[i][j].is_zero]
+        if not live:
+            return zero
+        _, i, j = min(live)
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            factor = -factor
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            factor = -factor
+        top = m[k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, n):
+                x = top[k] * row[j] - row[k] * top[j]
+                row[j] = x if prev is None else divide(x, prev)
+        prev = top[k]
+    return factor * m[n - 1][n - 1] if n else factor
+
+
+def _oracle_matrix(rng, n, entry, unit):
+    """An n x n matrix of zeros, units and other entries, some with a zero
+    row, a zero column or a row that combines two others."""
+    zero = unit() * 0
+    rows = [[rng.choice((zero, unit(), entry(), entry())) for _ in range(n)]
+            for _ in range(n)]
+    roll = rng.random()
+    if n and roll < 0.15:
+        rows[rng.randrange(n)] = [zero] * n
+    elif n and roll < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = zero
+    elif n >= 3 and roll < 0.5:
+        a, b, c = rng.sample(range(n), 3)
+        f, g = unit(), entry()
+        rows[c] = [f * x + g * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def test_poly_det_matches_two_phase_oracle():
+    """Univariate and 1-3 variable matrices of size 0-7 (0-6 in three
+    variables, where a 7 x 7 determinant takes seconds)."""
+    rng = random.Random(61)
+    singular = 0
+    for n in range(8):
+        for _ in range(12):
+            rows = _oracle_matrix(
+                rng, n, lambda: random_poly(rng, max_deg=2, min_exp=-1),
+                lambda: _unit(rng))
+            det = poly_det(rows, LaurentPoly.one())
+            assert det == _two_phase_det(rows, LaurentPoly.one()), n
+            singular += det.is_zero
+        for nvars in (1, 2) if n == 7 else (1, 2, 3):
+            for _ in range(3 if n > 5 else 6):
+                rows = _oracle_matrix(
+                    rng, n, lambda: _mv_entry(rng, nvars, 2),
+                    lambda: _mv_entry(rng, nvars, 1))
+                one = MultiLaurentPoly.one(nvars)
+                assert poly_det(rows, one) == _two_phase_det(rows, one), (
+                    nvars, n)
+    assert singular >= 10
+
+
+def test_poly_det_fox_minors_match_two_phase_oracle():
+    """Every minor without one column of the Fox matrices of random 2- and
+    3-component links."""
+    rng = random.Random(67)
+    wanted = {2: 20, 3: 10}
+    nonzero = 0
+    while any(wanted.values()):
+        b = random_braid(rng, max_strands=5, max_len=12)
+        if not wanted.get(b.component_count()):
+            continue
+        wanted[b.component_count()] -= 1
+        m = alexander_matrix(braid_closure(b))
+        if m.arc_count - 1 != len(m.rows):
+            continue
+        one = MultiLaurentPoly.one(m.variable_count)
+        for col in range(m.arc_count):
+            minor = [row[:col] + row[col + 1:] for row in m.rows]
+            det = poly_det(minor, one)
+            assert det == _two_phase_det(minor, one), (b.render(), col)
+            nonzero += not det.is_zero
+    assert nonzero >= 30
+
+
+def test_poly_det_sign_of_permuted_unit_diagonal():
+    """A permutation of a diagonal of units c*t^k has determinant
+    sign(permutation) times the product of the units."""
+    rng = random.Random(71)
+    zero = LaurentPoly.zero()
+    for n in range(1, 8):
+        for _ in range(5):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            units = [_unit(rng) for _ in range(n)]
+            rows = [[units[i] if j == perm[i] else zero for j in range(n)]
+                    for i in range(n)]
+            want = LaurentPoly.one()
+            for u in units:
+                want = want * u
+            inversions = sum(perm[a] > perm[b] for a in range(n)
+                             for b in range(a + 1, n))
+            assert poly_det(rows, LaurentPoly.one()) == (
+                -want if inversions % 2 else want)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, -1], [0, 1, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[1, 0], [0]],
+], ids=["2x3", "3x4", "ragged"])
+def test_poly_det_rejects_non_square(rows):
+    t = LaurentPoly.t()
+    rows = [[t ** e if e else LaurentPoly.zero() for e in row]
+            for row in rows]
+    with pytest.raises(DimensionMismatch) as info:
+        poly_det(rows, LaurentPoly.one())
+    assert info.value.exit_code == 3
