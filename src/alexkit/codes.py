@@ -58,18 +58,8 @@ class BraidWord:
 
     def component_count(self):
         """Number of components of the closure = cycles of the permutation."""
-        perm = self.permutation()
-        seen = [False] * self.strands
-        count = 0
-        for start in range(self.strands):
-            if seen[start]:
-                continue
-            count += 1
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                p = perm[p]
-        return count
+        pairs = [(p + 1, q + 1) for p, q in enumerate(self.permutation())]
+        return max(label_classes(self.strands, pairs).values())
 
     def __repr__(self):
         return "BraidWord<%s>" % self.render()

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotAUnit
+from .errors import DimensionMismatch, NotAUnit
 from .laurent import LaurentPoly, exact_div, gcd_laurent
 
 
@@ -137,7 +137,7 @@ class Mat:
         self.rows = tuple(tuple(r) for r in rows)
         for r in self.rows:
             if len(r) != ncols:
-                raise ValueError("ragged matrix")
+                raise DimensionMismatch("ragged matrix")
         self.ncols = ncols
 
     @property
@@ -158,7 +158,7 @@ def mat_identity(field, n):
 
 def mat_mul(field, a, b):
     if a.ncols != b.nrows:
-        raise ValueError("inner dimension mismatch")
+        raise DimensionMismatch("inner dimension mismatch")
     out = []
     for i in range(a.nrows):
         row = []
@@ -285,7 +285,7 @@ def column_space_equal(field, a, b):
     """Do two matrices with the same number of rows span the same column
     space?  Yes iff rank a = rank b = rank [a|b]."""
     if a.nrows != b.nrows:
-        raise ValueError("row count mismatch")
+        raise DimensionMismatch("row count mismatch")
     rank = mat_rank(field, a)
     if rank != mat_rank(field, b):
         return False

@@ -21,11 +21,11 @@ form a diagonal matrix equivalent to the input, and replacing each pair
 `poly_det` is one sparse elimination loop too, whose pivot is the unit
 of least Markowitz cost or else an entry of fewest terms: unit steps
 clear the pivot's column exactly until the first non-unit pivot, and
-fraction-free Bareiss steps follow it.  The Smith form and `poly_det`
-share no code: the Fox route reduces its
-matrices with `smith_normal_form`, while the Burau and multivariable
-routes take determinants with `poly_det`, so the Fox route checks the
-other two with elimination code they do not use."""
+fraction-free Bareiss steps follow it.  The three routes reduce with
+three codes: the Fox route with `smith_normal_form`, the Burau and
+multivariable routes with `poly_det`, and closed tangles with the
+fraction-free pass in `alexkit.fields`.  So each route checks the others
+with elimination code they do not use."""
 from __future__ import annotations
 
 import heapq

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 from .codes import label_classes
 from .errors import BoundaryMismatch, DimensionMismatch, ParseError
-from .fields import (Mat, column_space_equal, kernel_basis, mat_identity,
-                     mat_mul)
+from .fields import (GenericTField, Mat, _fraction_free, column_space_equal,
+                     kernel_basis, mat_identity, mat_mul)
 from .laurent import LaurentPoly, canonical_poly
-from .snf import smith_normal_form
+# unused here; perfbench/layertrace.py traces tangles.smith_normal_form
+from .snf import smith_normal_form  # noqa: F401
 
 GENERATOR_TYPES = {
     "id+": (("+",), ("+",)),
@@ -204,7 +205,7 @@ def generator_span(name, field):
     if name in ("coev+-", "coev-+"):
         diag = Mat([[one], [one]], 1)
         return Span(field, 0, 2, 1, Mat([], 1), diag)
-    raise ValueError("unknown generator %r" % name)
+    raise ParseError("unknown generator %r" % name)
 
 
 def compose_spans(s1, s2):
@@ -377,22 +378,31 @@ def tangle_linear_system(expr, field):
 
 
 def closed_tangle_delta(expr):
-    """Alexander polynomial of a closed expression: treat the global
-    system matrix as a presentation with one generator per arc and take
-    the gcd of its (nvars - 1)-minors via the Smith normal form."""
+    """Alexander polynomial of a closed expression by the tangle route's
+    own elimination: merging the variables that gluing rows join gives
+    Alexander's crossing-by-arc matrix (Trans. AMS 30, 1928); its forward
+    fraction-free pass, less a column and a row, ends on Delta or 0."""
     if expr.source or expr.target:
         raise DimensionMismatch("expression is not closed")
     system = tangle_system(expr)
-    n = system.nvars
-    if n == 0:
+    arc = label_classes(system.nvars, [tuple(v + 1 for v in eq)
+                                       for eq in system.equations
+                                       if len(eq) == 2])
+    n = max(arc.values(), default=0)
+    if n <= 1:
         return LaurentPoly.one()
-    factors = smith_normal_form(system.matrix_rows())
-    if n - 1 > len(factors):
+    rows = []
+    for eq in system.equations:
+        if len(eq) == 3:
+            row = [LaurentPoly.zero()] * n
+            for var, coeff in eq.items():
+                row[arc[var + 1] - 1] += coeff
+            rows.append(row[:-1])
+    reduced, pivots = _fraction_free(GenericTField(),
+                                     Mat(rows[: n - 1], n - 1), full=False)
+    if len(pivots) < n - 1:
         return LaurentPoly.zero()
-    prod = LaurentPoly.one()
-    for d in factors[: n - 1]:
-        prod = prod * d
-    return canonical_poly(prod)
+    return canonical_poly(reduced[n - 2][pivots[-1]])
 
 
 def _tensor_chain(exprs):

@@ -12,9 +12,10 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from alexkit.errors import NotAUnit
+from alexkit.errors import DimensionMismatch, NotAUnit
 from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
-                            _fraction_free, kernel_basis, mat_mul, mat_rank)
+                            _fraction_free, column_space_equal, kernel_basis,
+                            mat_mul, mat_rank)
 from alexkit.laurent import LaurentPoly, exact_div, gcd_laurent
 from alexkit.tangles import braid_expr, tangle_system
 from util import random_braid
@@ -374,3 +375,25 @@ def test_generic_kernels_are_primitive_laurent_bases():
             for x in k.column(j):
                 g = gcd_laurent(g, x)
             assert g == LaurentPoly.one()
+
+
+def _raises_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch) as err:
+        call()
+    assert err.value.exit_code == 3
+
+
+def test_ragged_mat_is_a_dimension_mismatch():
+    _raises_dimension_mismatch(lambda: Mat([[1, 2], [3]], 2))
+
+
+def test_mat_mul_inner_mismatch_is_a_dimension_mismatch():
+    field = RationalPoint(2)
+    a = Mat([[field.one, field.zero]], 2)
+    _raises_dimension_mismatch(lambda: mat_mul(field, a, a))
+
+
+def test_column_space_row_mismatch_is_a_dimension_mismatch():
+    field = RationalPoint(2)
+    _raises_dimension_mismatch(lambda: column_space_equal(
+        field, Mat([[field.one]], 1), Mat([[field.one], [field.one]], 1)))

@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from alexkit.codes import BraidWord, catalog_lookup
+import alexkit.snf
+import alexkit.tangles
+from alexkit.alexander import knot_delta
+from alexkit.codes import BraidWord, braid_closure, catalog_lookup
 from alexkit.errors import BoundaryMismatch, DimensionMismatch, ParseError
 from alexkit.fields import ComplexPoint, GenericTField, RationalPoint
-from alexkit.laurent import normalize_unit
+from alexkit.laurent import LaurentPoly, canonical_poly, normalize_unit
+from alexkit.snf import smith_normal_form
 from alexkit.tangles import (Compose, Gen, Tensor, braid_closure_expr,
                              braid_expr, closed_tangle_delta, compose_spans,
-                             evaluate_tangle, parse_tangle,
+                             evaluate_tangle, generator_span, parse_tangle,
                              spans_equivalent, tangle_linear_system,
                              tangle_system, tensor_spans)
 from util import random_tangle_expr
@@ -155,6 +159,79 @@ def test_closed_tangle_delta_catalog():
         assert got == normalize_unit(entry.delta), name
     with pytest.raises(DimensionMismatch):
         closed_tangle_delta(parse_tangle("xp"))
+
+
+def _smith_closed_delta(expr):
+    """The Smith-form reading of a closed system, kept as the oracle: the
+    product of the first nvars - 1 invariant factors of its matrix."""
+    system = tangle_system(expr)
+    n = system.nvars
+    if n == 0:
+        return LaurentPoly.one()
+    factors = smith_normal_form(system.matrix_rows())
+    if n - 1 > len(factors):
+        return LaurentPoly.zero()
+    prod = LaurentPoly.one()
+    for d in factors[: n - 1]:
+        prod = prod * d
+    return canonical_poly(prod)
+
+
+def _random_word(rng, n, length):
+    return BraidWord(n, [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                         for _ in range(length)] if n > 1 else [])
+
+
+def test_closed_delta_matches_smith_oracle_and_fox():
+    # seeded closures on 1-7 strands with 0-22 letters, the sizes of the
+    # benchmark's closed inputs, crossing-less strands and split links
+    # whose last strands never meet the first
+    rng = random.Random(83)
+    braids = [_random_word(rng, rng.randint(1, 7), rng.randint(0, 22))
+              for _ in range(100)]
+    braids += [_random_word(rng, n, length) for n, length in (
+        (3, 10), (4, 11), (3, 12), (5, 10), (3, 14), (4, 13), (6, 11))]
+    braids += [BraidWord(1), BraidWord(2), BraidWord(3),
+               BraidWord(4, [1, -1, 1, 3]), BraidWord(5, [1, 1, 2, 4, 4])]
+    braids += [BraidWord(4, [rng.choice((1, -1)) * rng.randint(1, 2)
+                             for _ in range(8)]) for _ in range(3)]
+    components = set()
+    zeros = 0
+    for b in braids:
+        expr = braid_closure_expr(b)
+        got = closed_tangle_delta(expr)
+        assert got == _smith_closed_delta(expr), b.render()
+        assert got == knot_delta(braid_closure(b)), b.render()
+        components.add(b.component_count())
+        zeros += got.is_zero
+    assert {1, 2, 3} <= components and zeros >= 5
+
+
+@pytest.mark.parametrize("text,delta", [
+    ("coev+- ; ev+-", LaurentPoly.one()),
+    ("(coev+- # coev+-) ; (ev+- # ev+-)", LaurentPoly.zero()),
+])
+def test_closed_delta_of_circles(text, delta):
+    expr = parse_tangle(text)
+    assert closed_tangle_delta(expr) == delta == _smith_closed_delta(expr)
+
+
+def test_closed_delta_uses_no_smith_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tangle route called the Smith form")
+
+    monkeypatch.setattr(alexkit.snf, "smith_normal_form", refuse)
+    monkeypatch.setattr(alexkit.tangles, "smith_normal_form", refuse)
+    for name in ("unknot", "trefoil", "figure8", "hopf", "solomon"):
+        entry = catalog_lookup(name)
+        got = closed_tangle_delta(braid_closure_expr(entry.braid))
+        assert got == normalize_unit(entry.delta), name
+
+
+def test_generator_span_unknown_name():
+    with pytest.raises(ParseError) as err:
+        generator_span("xq", GenericTField())
+    assert err.value.exit_code == 2
 
 
 def test_unlink_mid_dim_and_delta():
