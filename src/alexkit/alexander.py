@@ -206,7 +206,7 @@ class RingPresentation:
                 piece = var
             elif coeff == -LaurentPoly.one():
                 piece = "-" + var
-            elif coeff.is_unit():
+            elif len(coeff.coeffs) == 1:
                 piece = "%s %s" % (coeff.render(), var)
             else:
                 piece = "(%s) %s" % (coeff.render(), var)

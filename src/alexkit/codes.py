@@ -233,15 +233,13 @@ def parse_crossing_list(text):
 
 def parse_pd(text):
     """Parse planar-diagram tuples X[a,b,c,d] (a = incoming under-arc,
-    labels counterclockwise) into a CrossingList.
+    labels counterclockwise) into a CrossingList; text with no tuples,
+    the empty string among it, is the unknot.
 
     The over-strand labels b and d belong to one Wirtinger arc and are
     merged; sign is + when d = b+1 (mod 2m) and - when b = d+1 (mod 2m).
     """
     body = _strip_comments(text)
-    stripped = body.strip()
-    if not stripped:
-        return CrossingList(1, ())
     tuples = []
     pos = 0
     pattern = re.compile(
@@ -255,6 +253,8 @@ def parse_pd(text):
             raise ParseError("bad PD token", position=pos)
         tuples.append(tuple(int(g) for g in m.groups()))
         pos = m.end()
+    if not tuples:
+        return CrossingList(1, ())
     labels = 2 * len(tuples)
     counts = {}
     for tup in tuples:

@@ -5,18 +5,16 @@ At generic t the scalars are Laurent polynomials in Z[t^+-1]: a span is
 fixed only up to column scaling, so its maps can stay Laurent matrices,
 and the only division the generators need is by the unit t.  Exact
 kernels and ranks use one fraction-free elimination: each exact field
-scales its rows into an integral ring, Z at a rational t and Z[t^+-1] at
-generic t, as sparse {column: entry} maps of their nonzero entries, and
-turns each kernel column of that ring into its scalars at the end.  The
-SVD runs only at complex t.
+gives its rows over an integral ring, Z at a rational t (scaled by their
+denominators) and Z[t^+-1] at generic t, as sparse {column: entry} maps
+of their nonzero entries, and turns each kernel column of that ring into
+its scalars at the end.  The SVD, and so numpy, runs only at complex t.
 """
 from __future__ import annotations
 
 import math
 import operator
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DimensionMismatch, NotAUnit
 from .laurent import LaurentPoly, exact_div, gcd_laurent
@@ -45,7 +43,7 @@ class ScalarField:
 
 class GenericTField(ScalarField):
     """Laurent polynomials in t with integer coefficients: the generic
-    fibre.  Only units c*t^k can be divided by."""
+    fibre.  Only units +-t^k can be divided by."""
 
     def __init__(self):
         self.t = LaurentPoly.t()
@@ -61,16 +59,9 @@ class GenericTField(ScalarField):
         return p
 
     def integral_rows(self, m):
-        """Each row's nonzero entries times the lcm of their coefficients'
-        denominators: sparse rows over Z[t^+-1]."""
-        out = []
-        for row in m.rows:
-            nonzero = [(j, x) for j, x in enumerate(row) if x]
-            den = math.lcm(*(c.denominator for _, x in nonzero
-                             for c in x.coeffs.values()))
-            out.append({j: x * den for j, x in nonzero} if den != 1
-                       else dict(nonzero))
-        return out, exact_div
+        """Each row's nonzero entries, already over Z[t^+-1]."""
+        return [{j: x for j, x in enumerate(row) if x}
+                for row in m.rows], exact_div
 
     def kernel_column(self, col, d):
         """The column divided by the gcd of its entries: primitive."""
@@ -171,15 +162,18 @@ def mat_mul(field, a, b):
     return Mat(out, b.ncols)
 
 
-def _to_numpy(m):
-    return np.array(m.rows, dtype=complex).reshape(m.nrows, m.ncols)
+def _svd(m, compute_uv):
+    """numpy's SVD of m, for complex t, the only place numpy is used."""
+    import numpy as np
+    return np.linalg.svd(np.array(m.rows, dtype=complex).reshape(
+        m.nrows, m.ncols), compute_uv=compute_uv)
 
 
 def _svd_rank(field, sv):
     """Numerical rank: singular values above tol times the largest."""
     if len(sv) == 0 or sv[0] == 0:
         return 0
-    return int(np.sum(sv > field.tol * sv[0]))
+    return sum(1 for x in sv if x > field.tol * sv[0])
 
 
 def _fraction_free(field, m, full):
@@ -240,10 +234,9 @@ def mat_rank(field, m):
     elimination on exact ones."""
     if field.exact:
         return len(_fraction_free(field, m, full=False)[1])
-    arr = _to_numpy(m)
-    if arr.size == 0:
+    if m.nrows == 0 or m.ncols == 0:
         return 0
-    return _svd_rank(field, np.linalg.svd(arr, compute_uv=False))
+    return _svd_rank(field, _svd(m, False))
 
 
 def kernel_basis(field, m):
@@ -259,7 +252,7 @@ def kernel_basis(field, m):
     if not field.exact:
         if m.nrows == 0:
             return mat_identity(field, n)
-        _, sv, vh = np.linalg.svd(_to_numpy(m))
+        _, sv, vh = _svd(m, True)
         rank = _svd_rank(field, sv)
         null = vh[rank:].conj().T  # n x (n - rank)
         return Mat([[complex(x) for x in row] for row in null], n - rank)

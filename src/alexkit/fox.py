@@ -3,15 +3,15 @@
 Derivatives obey d(x_j)/d(x_i) = delta_ij, d(x_i^-1)/d(x_i) = -x_i^-1 and
 the product rule d(uv)/d(x_i) = du/d(x_i) + u dv/d(x_i).  Here they are
 computed directly through the abelianization, never materializing
-group-ring elements: the image of a word under unit-monomial weights is
-itself a unit monomial c*t^e, carried as the pair (e, c).
+group-ring elements: the image of a word under +-monomial weights is
+itself a +-monomial c*t^e, carried as the pair (e, c).
 """
 from __future__ import annotations
 
 from operator import add, sub
 
-from .errors import UnknownGenerator
-from .laurent import MultiLaurentPoly, _div
+from .errors import NotAUnit, UnknownGenerator
+from .laurent import MultiLaurentPoly
 
 
 class FreeWord:
@@ -76,7 +76,7 @@ def reduce_word(raw):
 
 
 class AbelianWeights:
-    """Assignment of an invertible monomial weight to each generator."""
+    """Assignment of a unit weight, a +-monomial, to each generator."""
 
     __slots__ = ("assignment", "nvars")
 
@@ -86,8 +86,8 @@ class AbelianWeights:
         for g, w in self.assignment.items():
             if w.nvars != nvars:
                 raise ValueError("weight variable count mismatch")
-            if not w.is_single_term():
-                raise ValueError("weights must be unit monomials")
+            if not w.is_unit():
+                raise NotAUnit("weight %s is not a +-monomial" % w.render())
 
     @classmethod
     def all_t(cls, generators):
@@ -103,11 +103,10 @@ class AbelianWeights:
 
 
 def _times(exps, coeff, g, e, weights):
-    """The unit monomial coeff*t^exps times {x_g}^e, as (exps, coeff)."""
+    """The +-monomial coeff*t^exps times {x_g}^e, as (exps, coeff); a
+    weight's inverse has its coefficient, +-1."""
     (wexps, wcoeff), = weights.weight(g).coeffs.items()
-    if e == 1:
-        return tuple(map(add, exps, wexps)), coeff * wcoeff
-    return tuple(map(sub, exps, wexps)), _div(coeff, wcoeff)
+    return tuple(map(add if e == 1 else sub, exps, wexps)), coeff * wcoeff
 
 
 def abelianize(w, weights):

@@ -1,43 +1,36 @@
-"""Exact Laurent-polynomial arithmetic over the rationals.
+"""Exact Laurent-polynomial arithmetic over the integers.
 
-Univariate polynomials live in Q[t, t^-1], multivariate ones in
-Q[t1^{+-1}, ..., ts^{+-1}].  A coefficient is an `int` when it is
-integral and a `fractions.Fraction` only when it is not, so polynomials
-with integer coefficients, the usual case, never pay for Fraction's gcd
-normalisation; every division of coefficients goes through `_div`.  The
-zero polynomial is the empty coefficient map.
+Univariate polynomials live in Z[t, t^-1], multivariate ones in
+Z[t1^{+-1}, ..., ts^{+-1}], and every coefficient is an `int`; the
+constructors reject a non-integral one.  The units of these rings are
++-t^k (+-monomials), the only polynomials with an inverse.
+Division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1): `pseudo_divmod`
+scales the dividend by the least positive integer that keeps the quotient
+integral, and gcds follow the primitive remainder sequence (Brown,
+J. ACM 18, 1971).  The zero polynomial is the empty coefficient map.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd
 
-from .errors import NotAUnit, ZeroPolynomial
+from .errors import NotAUnit, ValidationError, ZeroPolynomial
 
 
-def _coeff(c):
-    """A coefficient in stored form: an int if integral, else a Fraction.
-    Sums and products of Fractions may be integral, so arithmetic passes
-    each result that is not an int through here."""
+def _int(c):
+    """A coefficient as an int; a non-integral one raises."""
     if type(c) is int:
         return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _div(a, b):
-    """Exact quotient of two coefficients, in stored form (never a float)."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
+    try:
+        if c == int(c):
+            return int(c)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError("non-integral coefficient %r" % (c,))
 
 
 class LaurentPoly:
-    """Laurent polynomial in t, stored as {exponent: coefficient}, each
-    coefficient an int if integral and a Fraction otherwise."""
+    """Laurent polynomial in t, stored as {exponent: int coefficient}."""
 
     __slots__ = ("coeffs",)
 
@@ -45,7 +38,7 @@ class LaurentPoly:
         data = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = _coeff(c)
+                c = _int(c)
                 if c:
                     data[int(e)] = c
         self.coeffs = data
@@ -94,13 +87,13 @@ class LaurentPoly:
         return self.max_exp - self.min_exp
 
     def is_unit(self):
-        """True iff p = c * t^k with c != 0 (a unit of Q[t, t^-1])."""
-        return len(self.coeffs) == 1
+        """True iff p = +-t^k (a unit of Z[t, t^-1])."""
+        return len(self.coeffs) == 1 and abs(*self.coeffs.values()) == 1
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.coeffs == LaurentPoly.constant(other).coeffs
         return NotImplemented
 
@@ -115,7 +108,7 @@ class LaurentPoly:
         for e, c in other.coeffs.items():
             s = get(e, 0) + c
             if s:
-                data[e] = s if type(s) is int else _coeff(s)
+                data[e] = s
             else:
                 del data[e]
         out = LaurentPoly()
@@ -133,7 +126,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -148,9 +141,6 @@ class LaurentPoly:
                     data[e] = s
                 else:
                     del data[e]
-        for e, s in data.items():
-            if type(s) is not int:
-                data[e] = _coeff(s)
         out = LaurentPoly()
         out.coeffs = data
         return out
@@ -160,9 +150,10 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             if not self.is_unit():
-                raise ValueError("negative power of a non-unit")
+                raise NotAUnit("negative power of %s, not +-t^k"
+                               % self.render())
             (e, c), = self.coeffs.items()
-            return LaurentPoly({e * n: _div(1, c ** (-n))})
+            return LaurentPoly({e * n: c ** -n})
         out = LaurentPoly.one()
         base = self
         while n:
@@ -180,8 +171,7 @@ class LaurentPoly:
 
     def derivative(self):
         out = LaurentPoly()
-        out.coeffs = {e - 1: _coeff(c * e) for e, c in self.coeffs.items()
-                      if e != 0}
+        out.coeffs = {e - 1: c * e for e, c in self.coeffs.items() if e != 0}
         return out
 
     def evaluate(self, x):
@@ -244,9 +234,10 @@ def normalize_unit(p):
 
 
 def canonical_poly(p):
-    """Canonical associate: normalize_unit plus scaling to coprime integer
-    coefficients.  Units of Q[t,t^-1] are c*t^k, so gcds and SNF invariant
-    factors need the scalar pinned as well as the sign and shift."""
+    """Canonical associate: normalize_unit plus division by the content,
+    giving coprime coefficients.  Gcds and SNF invariant factors are taken
+    over Q[t,t^-1], whose units c*t^k need the scalar pinned as well as
+    the sign and shift."""
     if p.is_zero:
         return LaurentPoly.zero()
     q = normalize_unit(p)
@@ -256,33 +247,37 @@ def canonical_poly(p):
 
 
 def _primitive_coeffs(coeffs):
-    """The coefficient map scaled by a positive rational to coprime
-    integers, as ints."""
-    den = _int_lcm(*(c.denominator for c in coeffs.values()))
-    num = _int_gcd(*(c.numerator for c in coeffs.values()))
-    return {e: c.numerator * (den // c.denominator) // num
-            for e, c in coeffs.items()}
+    """The coefficient map divided by the gcd of its coefficients."""
+    g = _int_gcd(*coeffs.values())
+    return {e: c // g for e, c in coeffs.items()}
 
 
-def divmod_laurent(a, b):
-    """Division with remainder: a = q*b + r with spread(r) < spread(b).
-
-    Works in Q[t,t^-1] by shifting both operands to ordinary polynomials
-    with nonzero constant term and doing classical long division.
-    """
+def pseudo_divmod(a, b):
+    """(s, q, r) with s*a = q*b + r, spread(r) < spread(b) and s a
+    positive int: long division of the operands shifted to ordinary
+    polynomials, scaling the remainder and the quotient so far by the
+    least positive integer that lets b's leading coefficient divide, so
+    s = 1 whenever b divides a in Z[t,t^-1]."""
     if b.is_zero:
         raise ZeroDivisionError("Laurent division by zero")
     if a.is_zero:
-        return LaurentPoly.zero(), LaurentPoly.zero()
+        return 1, LaurentPoly.zero(), LaurentPoly.zero()
     sa, sb = a.min_exp, b.min_exp
     rem = {e - sa: c for e, c in a.coeffs.items()}
     bshift = {e - sb: c for e, c in b.coeffs.items()}
     db = max(bshift)
     lead = bshift[db]
+    s = 1
     q = {}
     while rem and max(rem) >= db:
         dr = max(rem)
-        factor = _div(rem[dr], lead)
+        factor, m = divmod(rem[dr], lead)
+        if m:
+            scale = abs(lead) // _int_gcd(rem[dr], lead)
+            s *= scale
+            rem = {e: c * scale for e, c in rem.items()}
+            q = {e: c * scale for e, c in q.items()}
+            factor = rem[dr] // lead
         q[dr - db] = factor
         for e, c in bshift.items():
             ne = dr - db + e
@@ -294,27 +289,27 @@ def divmod_laurent(a, b):
     quo = LaurentPoly()
     quo.coeffs = {e + sa - sb: c for e, c in q.items()}
     r = LaurentPoly()
-    r.coeffs = {e + sa: c if type(c) is int else _coeff(c)
-                for e, c in rem.items()}
-    return quo, r
+    r.coeffs = {e + sa: c for e, c in rem.items()}
+    return s, quo, r
 
 
 def exact_div(a, b):
-    q, r = divmod_laurent(a, b)
-    if not r.is_zero:
+    s, q, r = pseudo_divmod(a, b)
+    if s != 1 or r:
         raise ValueError("inexact Laurent division: %s by %s"
                          % (a.render(), b.render()))
     return q
 
 
 def gcd_laurent(a, b):
-    """Canonical gcd in Q[t,t^-1]; gcd(0,0) = 0 by convention."""
+    """Canonical gcd in Q[t,t^-1] by the primitive remainder sequence;
+    gcd(0,0) = 0 by convention."""
     if a.is_zero and b.is_zero:
         return LaurentPoly.zero()
     while not b.is_zero:
-        _, r = divmod_laurent(a, b)
-        # dividing out the content, a unit, keeps the remainders' integers
-        # from growing without bound
+        r = pseudo_divmod(a, b)[2]
+        # dividing out the content keeps the remainders' integers from
+        # growing without bound
         r.coeffs = _primitive_coeffs(r.coeffs)
         a, b = b, r
     return canonical_poly(a)
@@ -333,9 +328,8 @@ def distinct_root_count(p):
 
 
 class MultiLaurentPoly:
-    """Laurent polynomial in t1..ts, stored as {exponent tuple:
-    coefficient}, each coefficient an int if integral and a Fraction
-    otherwise."""
+    """Laurent polynomial in t1..ts, stored as {exponent tuple: int
+    coefficient}."""
 
     __slots__ = ("coeffs", "nvars")
 
@@ -343,7 +337,7 @@ class MultiLaurentPoly:
         data = {}
         if coeffs:
             for exps, c in coeffs.items():
-                c = _coeff(c)
+                c = _int(c)
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nvars:
                     raise ValueError("exponent vector of wrong length")
@@ -395,7 +389,7 @@ class MultiLaurentPoly:
             e = sum(exps)
             s = data.get(e, 0) + c
             if s:
-                data[e] = s if type(s) is int else _coeff(s)
+                data[e] = s
             else:
                 data.pop(e, None)
         out.coeffs = data
@@ -408,16 +402,16 @@ class MultiLaurentPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def is_single_term(self):
-        return len(self.coeffs) == 1
+    def is_unit(self):
+        """True iff p is a +-monomial (a unit of the Laurent ring)."""
+        return len(self.coeffs) == 1 and abs(*self.coeffs.values()) == 1
 
     def term_inverse(self):
-        """Inverse of a single-term (unit) polynomial."""
-        if not self.is_single_term():
-            raise ValueError("not a unit monomial")
+        """Inverse of a +-monomial."""
+        if not self.is_unit():
+            raise NotAUnit("%s is not a +-monomial" % self.render())
         (exps, c), = self.coeffs.items()
-        return MultiLaurentPoly({tuple(-e for e in exps): _div(1, c)},
-                                self.nvars)
+        return MultiLaurentPoly({tuple(-e for e in exps): c}, self.nvars)
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -426,7 +420,7 @@ class MultiLaurentPoly:
     def __eq__(self, other):
         if isinstance(other, MultiLaurentPoly):
             return self.nvars == other.nvars and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.coeffs == MultiLaurentPoly.constant(
                 other, self.nvars).coeffs
         return NotImplemented
@@ -440,7 +434,7 @@ class MultiLaurentPoly:
         for exps, c in other.coeffs.items():
             s = data.get(exps, 0) + c
             if s:
-                data[exps] = s if type(s) is int else _coeff(s)
+                data[exps] = s
             else:
                 data.pop(exps, None)
         out = MultiLaurentPoly.zero(self.nvars)
@@ -456,7 +450,7 @@ class MultiLaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiLaurentPoly.constant(other, self.nvars)
         self._check(other)
         data = {}
@@ -468,9 +462,6 @@ class MultiLaurentPoly:
                     data[e] = s
                 else:
                     data.pop(e, None)
-        for e, s in data.items():
-            if type(s) is not int:
-                data[e] = _coeff(s)
         out = MultiLaurentPoly.zero(self.nvars)
         out.coeffs = data
         return out
@@ -501,9 +492,9 @@ class MultiLaurentPoly:
 
 
 def mv_normalize(p):
-    """Canonical associate in Q[t1^{+-1},..,ts^{+-1}]: every variable's
-    minimum exponent 0, coprime integer coefficients, lexicographically
-    leading coefficient positive."""
+    """Canonical associate up to the units of Q[t1^{+-1},..,ts^{+-1}]:
+    every variable's minimum exponent 0, coprime coefficients,
+    lexicographically leading coefficient positive."""
     if p.is_zero:
         return MultiLaurentPoly.zero(p.nvars)
     q = p.shifted(tuple(-m for m in p.min_exps()))

@@ -1,27 +1,31 @@
-"""Smith normal form over Q[t, t^-1], and exact determinants over the
-univariate and multivariate Laurent rings.
+"""Smith normal form over Q[t, t^-1] of matrices over Z[t, t^-1], and
+exact determinants over the univariate and multivariate Laurent rings.
 
 `smith_normal_form` is one sparse elimination over rows stored as
-{column: entry}.  While some entry is a unit c*t^k, the pivot is the unit
-of least Markowitz cost (r - 1)(c - 1), r and c the nonzero counts of its
-row and column (the unit-pivot preconditioning of Dumas, Saunders and
-Villard, J. Symb. Comput. 32, 2001); otherwise it is an entry of least
-degree spread.  Row operations divide the rest of the pivot column by the
-pivot.  A remainder stays in place; its spread is below the pivot's, so a
-later pivot choice takes it up and nothing restarts.  Once the column is
-clear, column operations reduce the pivot row the same way, changing that
-row alone.  A pivot with a clear column splits off as a 1 x 1 block when
-it is a unit (clearing its row then changes nothing else) or when it is
-alone in its row.  After a non-unit step each changed row is divided by
-its rational content, a unit, so the coefficients stay small.  The blocks
-form a diagonal matrix equivalent to the input, and replacing each pair
-(a, b) of its entries with (gcd, lcm) makes it a divisibility chain
-(Newman, Integral Matrices, 1972).
+{column: entry}, every coefficient an int.  While some entry is a unit
++-t^k, the pivot is the unit of least Markowitz cost (r - 1)(c - 1), r
+and c the nonzero counts of its row and column (the unit-pivot
+preconditioning of Dumas, Saunders and Villard, J. Symb. Comput. 32,
+2001); otherwise it is an entry of least degree spread.  Row operations
+pseudo-divide the rest of the pivot column by the pivot, s*f = q*pivot +
+r, and replace each such row by s times itself minus q times the pivot
+row; s is a positive integer, a unit of Q[t, t^-1].  A remainder stays in
+place; its spread is below the pivot's, so a later pivot choice takes it
+up and nothing restarts.  Once the column is clear, column operations
+reduce the pivot row the same way, scaling the rest of each reduced
+column by its s.  A pivot with a clear column splits off as a 1 x 1 block
+when it is a unit (clearing its row then changes nothing else) or when it
+is alone in its row.  After a non-unit step each changed row is divided
+by its integer content, so the coefficients stay small.  The blocks form
+a diagonal matrix equivalent to the input, and replacing each pair (a, b)
+of its entries with (gcd, lcm) makes it a divisibility chain (Newman,
+Integral Matrices, 1972).
 
 `poly_det` is one sparse elimination loop too, whose pivot is the unit
-of least Markowitz cost or else an entry of fewest terms: unit steps
-clear the pivot's column exactly until the first non-unit pivot, and
-fraction-free Bareiss steps follow it.  The three routes reduce with
++-t^k of least Markowitz cost or else an entry of fewest terms: unit
+steps clear the pivot's column exactly until the first non-unit pivot,
+and fraction-free Bareiss steps, whose divisions are exact in the
+Laurent ring over Z, follow it.  The three routes reduce with
 three codes: the Fox route with `smith_normal_form`, the Burau and
 multivariable routes with `poly_det`, and closed tangles with the
 fraction-free pass in `alexkit.fields`.  So each route checks the others
@@ -32,12 +36,12 @@ import heapq
 
 from .errors import DimensionMismatch
 from .laurent import (LaurentPoly, MultiLaurentPoly, _primitive_coeffs,
-                      canonical_poly, divmod_laurent, exact_div,
-                      gcd_laurent, mv_exact_div)
+                      canonical_poly, exact_div, gcd_laurent, mv_exact_div,
+                      pseudo_divmod)
 
 
 def _primitive_row(row):
-    """Divide a row by its rational content, a unit of Q[t, t^-1]."""
+    """Divide a row by its integer content, a unit of Q[t, t^-1]."""
     flat = _primitive_coeffs({(k, e): c for k, x in row.items()
                               for e, c in x.coeffs.items()})
     for k, x in row.items():
@@ -91,7 +95,11 @@ def smith_normal_form(rows):
         for r in changed:
             target = sparse[r]
             f = target.pop(j)
-            q, rem = (f * inverse, None) if unit else divmod_laurent(f, pivot)
+            s, q, rem = (1, f * inverse, None) if unit else pseudo_divmod(
+                f, pivot)
+            if s != 1:
+                for k, x in target.items():
+                    target[k] = x * s
             if rem:
                 target[j] = rem
             else:
@@ -109,7 +117,11 @@ def smith_normal_form(rows):
         clear = len(cols[j]) == 1
         if clear and not unit:
             for k in list(row):
-                rem = divmod_laurent(row[k], pivot)[1]
+                s, _, rem = pseudo_divmod(row[k], pivot)
+                if s != 1:
+                    for r in cols[k] - {i}:
+                        sparse[r][k] = sparse[r][k] * s
+                        changed.append(r)
                 if rem:
                     row[k] = rem
                 else:
@@ -128,7 +140,7 @@ def smith_normal_form(rows):
             row[j] = pivot
             if clear:
                 changed.append(i)
-        for r in changed:
+        for r in set(changed):
             if not unit:
                 _primitive_row(sparse[r])
             push_units(r, sparse[r])
@@ -152,14 +164,15 @@ def poly_det(rows, one):
     `DimensionMismatch`.
 
     One elimination loop over rows stored as {column: entry}.  The pivot
-    is the unit c*t^k (a single term) of least Markowitz cost
-    (r - 1)(c - 1), or else an entry of fewest terms.  Until the first
+    is the unit +-t^k (a +-monomial in several variables) of least
+    Markowitz cost (r - 1)(c - 1), or else an entry of fewest terms, such
+    as c*t^k with |c| > 1.  Until the first
     non-unit pivot, a step clears the pivot's column exactly, since the
     pivot is invertible, and expanding along that column leaves +-pivot
     times the determinant of what remains.  From the first non-unit pivot
     on, every remaining row becomes (pivot * row - f * pivot row) /
     previous pivot, f its entry in the pivot column, each division exact
-    in the Laurent ring (Bareiss, "Sylvester's identity and multistep
+    in the Laurent ring over Z (Bareiss, "Sylvester's identity and multistep
     integer-preserving Gaussian elimination", Math. Comp. 22, 1968; any
     pivot order will do), and the last pivot is the determinant of what
     the unit steps left.  The sign of each step is (-1)^(i + k) for the
@@ -193,7 +206,7 @@ def poly_det(rows, one):
         best = None
         for i, row in enumerate(live):
             for j, x in row.items():
-                if len(x.coeffs) == 1:
+                if x.is_unit():
                     cost = (len(row) - 1) * (counts[j] - 1)
                     if best is None or cost < best[0]:
                         best = (cost, i, j)
@@ -207,7 +220,7 @@ def poly_det(rows, one):
         del cols[k]
         if (i + k) % 2:
             factor = -factor
-        if prev is None and len(pivot.coeffs) == 1:
+        if prev is None and pivot.is_unit():
             factor = factor * pivot
             inverse = invert(pivot)
             scaled = {c: x * inverse for c, x in pivot_row.items()}

@@ -66,6 +66,12 @@ def test_alexander_xcode_and_pd(capsys):
     assert code == 0 and out.strip() == "1 - t + t^2"
 
 
+@pytest.mark.parametrize("text", [",", " , "])
+def test_pd_text_without_tuples_is_the_unknot(capsys, text):
+    assert _run(capsys, ["alexander", "--format", "pd", text]) == (
+        0, "1\n", "")
+
+
 def test_closure_and_burau(capsys):
     code, out, _ = _run(capsys, ["closure", "3: s1 S2 s1 S2"])
     assert code == 0 and out.strip() == "1 - 3 t + t^2"
@@ -258,3 +264,17 @@ def test_python_dash_m(tmp_path):
                           cwd=tmp_path, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "1 - t + t^2\n", "")
+
+
+def test_rational_t_does_not_import_numpy():
+    """numpy is imported only for complex t."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(alexkit.__file__)))
+    script = ("import sys, alexkit.cli\n"
+              "assert alexkit.cli.run(['fiber', '--t', '2', '2: s1 s1 s1'])"
+              " == 0\n"
+              "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "1\nFalse\n", "")

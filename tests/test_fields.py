@@ -26,7 +26,7 @@ _t = sympy.symbols("t")
 _DENS = (LaurentPoly.one(), LaurentPoly({0: 1, 1: 1}),
          LaurentPoly({0: 3, 1: -2}), LaurentPoly({0: 2, 1: 1}),
          LaurentPoly.t())
-_COEFFS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
+_COEFFS = (0, 0, 1, -1, 2, -2, 3, -4)
 _POINTS = ("2", "-3", "5/2", "-1/3")
 
 
@@ -36,7 +36,7 @@ def _sym(p):
 
 
 def _entry(rng):
-    """(numerator, denominator): a sparse Laurent numerator over Q."""
+    """(numerator, denominator): a sparse Laurent numerator over Z."""
     num = LaurentPoly({e: rng.choice(_COEFFS) for e in range(-1, 2)
                        if rng.random() < 0.5})
     return num, rng.choice(_DENS)
@@ -184,19 +184,15 @@ def test_kernels_at_every_field():
 
 
 def _dense_integral_rows(field, m):
-    """Dense reference: every row times the lcm of its denominators, of
-    its coefficients' denominators at generic t."""
+    """Dense reference: at a rational t every row times the lcm of its
+    denominators; at generic t the rows as they are."""
+    if isinstance(field, GenericTField):
+        return [list(row) for row in m.rows], exact_div
     out = []
-    if isinstance(field, RationalPoint):
-        for row in m.rows:
-            den = math.lcm(*(x.denominator for x in row))
-            out.append([x.numerator * (den // x.denominator) for x in row])
-        return out, lambda a, b: a // b
     for row in m.rows:
-        den = math.lcm(*(c.denominator for x in row
-                         for c in x.coeffs.values()))
-        out.append([x * den for x in row])
-    return out, exact_div
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out, lambda a, b: a // b
 
 
 def _dense_fraction_free(field, m, full):
@@ -248,7 +244,7 @@ def _assert_same_as_dense(field, m):
 _SPARSE_NUMS = (LaurentPoly({0: 1}), LaurentPoly({0: -1}), LaurentPoly({0: 2}),
                 LaurentPoly({1: 1}), LaurentPoly({1: -1}),
                 LaurentPoly({0: 1, 1: -1}), LaurentPoly({-1: 1}),
-                LaurentPoly({0: 1, -1: -1}), LaurentPoly({0: Fraction(1, 2)}),
+                LaurentPoly({0: 1, -1: -1}), LaurentPoly({0: -3}),
                 LaurentPoly({0: 3, 1: -2}))
 _SPARSE_DENS = (LaurentPoly.one(), LaurentPoly.one(), LaurentPoly.t(),
                 LaurentPoly({0: 1, 1: 1}))
@@ -303,45 +299,20 @@ def test_sparse_elimination_matches_dense_loop_tangle_systems():
             _assert_same_as_dense(field, m)
 
 
-def test_generic_integral_rows_have_int_coefficients():
-    """Rows with Fraction coefficients are scaled to int coefficients by
-    a positive integer each, and keep the rank of the entries."""
-    rng = random.Random(41)
-    field = GenericTField()
-    seen_fraction = False
-    for _ in range(30):
-        entries, ncols = _random_entries(rng)
-        m = _ours(field, entries, ncols)
-        seen_fraction |= any(type(c) is Fraction for row in m.rows
-                             for x in row for c in x.coeffs.values())
-        rows, _ = field.integral_rows(m)
-        for row, want in zip(rows, m.rows):
-            assert all(type(c) is int for x in row.values()
-                       for c in x.coeffs.values())
-            assert set(row) == {j for j, x in enumerate(want) if x}
-            if row:
-                j = next(iter(row))
-                scale = exact_div(row[j], want[j])
-                assert list(scale.coeffs) == [0] and scale.coeffs[0] > 0
-                assert all(x == want[j] * scale for j, x in row.items())
-        assert mat_rank(field, m) == _oracle(entries, ncols)[0]
-    assert seen_fraction
-
-
 def test_generic_div_is_exact_by_units_only():
     field = GenericTField()
     t = LaurentPoly.t()
     p = LaurentPoly({0: 3, 2: -1})
     assert field.div(p, t) == p.shifted(-1)
-    assert field.div(p, LaurentPoly({1: -2})) == LaurentPoly(
-        {-1: Fraction(-3, 2), 1: Fraction(1, 2)})
-    for d in (LaurentPoly({0: 1, 1: 1}), LaurentPoly.zero()):
+    assert field.div(p, LaurentPoly({1: -1})) == LaurentPoly({-1: -3, 1: 1})
+    for d in (LaurentPoly({1: -2}), LaurentPoly({0: 1, 1: 1}),
+              LaurentPoly.zero()):
         with pytest.raises(NotAUnit):
             field.div(p, d)
 
 
 def _random_laurent_matrix(rng):
-    """Up to 6 x 8 with sparse Laurent entries, mostly integral, with
+    """Up to 6 x 8 with sparse Laurent entries over Z, with
     zero and dependent rows among them."""
     nrows, ncols = rng.randint(0, 6), rng.randint(0, 8)
     rows = []

@@ -1,7 +1,6 @@
 """Fox-derivative laws: product rule, inverse rule, and the fundamental
 identity, on random free words."""
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -87,12 +86,10 @@ def test_fundamental_identity():
 
 
 def _random_unit_weights(rng, ngens, nvars):
-    """Unit monomials c*t^e with nonzero rational c, some of them not
-    +-1, and exponents in [-2, 2]."""
-    coeffs = (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7))
+    """Units +-t^e of the Laurent ring, exponents in [-2, 2]."""
     return AbelianWeights(
         {g: MultiLaurentPoly.monomial(
-            [rng.randint(-2, 2) for _ in range(nvars)], rng.choice(coeffs))
+            [rng.randint(-2, 2) for _ in range(nvars)], rng.choice((1, -1)))
          for g in range(1, ngens + 1)}, nvars)
 
 
@@ -115,7 +112,7 @@ def _reference_derivative(word, i, weights):
 
 
 def test_fundamental_formula_with_unit_weights():
-    """sum_i {dw/dx_i}({x_i} - 1) = {w} - 1 under weights c*t^e in 1-3
+    """sum_i {dw/dx_i}({x_i} - 1) = {w} - 1 under weights +-t^e in 1-3
     variables, and each derivative and image equals the polynomial-product
     reference."""
     rng = random.Random(17)

@@ -7,11 +7,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexkit.errors import NotAUnit, ZeroPolynomial
+from alexkit.errors import NotAUnit, ValidationError, ZeroPolynomial
+from alexkit.fox import AbelianWeights
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                             distinct_root_count, divmod_laurent, exact_div,
-                             gcd_laurent, gcd_multivariate, mv_exact_div,
-                             mv_normalize, normalize_unit)
+                             distinct_root_count, exact_div, gcd_laurent,
+                             gcd_multivariate, mv_exact_div, mv_normalize,
+                             normalize_unit, pseudo_divmod)
 
 _t = sympy.symbols("t")
 
@@ -24,7 +25,7 @@ def to_sympy(p):
 def poly_strategy(min_exp=-3, max_exp=4):
     return st.dictionaries(
         st.integers(min_exp, max_exp),
-        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        st.integers(min_value=-5, max_value=5),
         max_size=5).map(LaurentPoly)
 
 
@@ -47,16 +48,50 @@ def test_mul_matches_sympy(a, b):
     assert sympy.simplify(to_sympy(a * b) - to_sympy(a) * to_sympy(b)) == 0
 
 
+def _all_int(p):
+    return all(type(c) is int for c in p.coeffs.values())
+
+
 @given(poly_strategy(), poly_strategy())
 @settings(max_examples=60, deadline=None)
 def test_divmod_is_division_with_remainder(a, b):
+    """s*a = q*b + r with spread(r) < spread(b), a positive int s and int
+    coefficients; s = 1 and r = 0 when b divides a."""
     if b.is_zero:
         with pytest.raises(ZeroDivisionError):
-            divmod_laurent(a, b)
+            pseudo_divmod(a, b)
         return
-    q, r = divmod_laurent(a, b)
-    assert a == q * b + r
+    s, q, r = pseudo_divmod(a, b)
+    assert type(s) is int and s > 0
+    assert a * s == q * b + r
     assert r.is_zero or r.spread < b.spread
+    assert _all_int(q) and _all_int(r)
+    assert pseudo_divmod(a * b, b) == (1, a, LaurentPoly.zero())
+    assert exact_div(a * b, b) == a
+
+
+def test_pseudo_divmod_by_non_monic_divisors():
+    """Divisors with leading and trailing coefficients other than +-1:
+    the scale s is needed, and stays 1 on exact quotients."""
+    rng = random.Random(53)
+    scaled = 0
+    for _ in range(40):
+        a = _int_poly(rng)
+        b = LaurentPoly({-1: rng.choice([2, 3, -5]), 1: rng.randint(-3, 3),
+                         2: rng.choice([2, 3, -4])})
+        s, q, r = pseudo_divmod(a, b)
+        assert a * s == q * b + r
+        assert r.is_zero or r.spread < b.spread
+        assert _all_int(q) and _all_int(r)
+        scaled += s != 1
+        assert pseudo_divmod(a * b, b) == (1, a, LaurentPoly.zero())
+    assert scaled >= 20
+    # x^3 + 1 by 2x + 1: 8(x^3 + 1) = (4x^2 - 2x + 1)(2x + 1) + 7
+    assert pseudo_divmod(LaurentPoly({0: 1, 3: 1}),
+                         LaurentPoly({0: 1, 1: 2})) == (
+        8, LaurentPoly({0: 1, 1: -2, 2: 4}), LaurentPoly({0: 7}))
+    with pytest.raises(ValueError):
+        exact_div(LaurentPoly({0: 1}), LaurentPoly({0: 2}))
 
 
 @given(poly_strategy(), poly_strategy())
@@ -82,7 +117,7 @@ def test_gcd_matches_sympy(a, b):
 
 
 def test_normalize_unit_canonical():
-    p = LaurentPoly({-2: Fraction(-3), -1: Fraction(3), 0: Fraction(-3)})
+    p = LaurentPoly({-2: -3, -1: 3, 0: -3})
     q = normalize_unit(p)
     assert q.min_exp == 0
     assert q.coeffs[0] > 0
@@ -95,11 +130,12 @@ def test_normalize_unit_canonical():
 
 
 def test_canonical_poly_is_primitive_integer():
-    p = LaurentPoly({1: Fraction(2, 3), 2: Fraction(-4, 3)})
+    p = LaurentPoly({1: 6, 2: -12})
     q = canonical_poly(p)
     assert q == LaurentPoly({0: 1, 1: -2})
-    # rational scalings are units and collapse to one representative
-    assert canonical_poly(p * Fraction(7, 5)) == q
+    # integer scalings are units of Q[t^+-1] and collapse to one
+    # representative
+    assert canonical_poly(p * -7) == q
 
 
 def test_distinct_root_count():
@@ -112,7 +148,7 @@ def test_distinct_root_count():
 
 
 def test_evaluate_points():
-    p = LaurentPoly({-1: Fraction(1), 1: Fraction(2)})
+    p = LaurentPoly({-1: 1, 1: 2})
     assert p.evaluate(Fraction(2)) == Fraction(1, 2) + 4
     assert abs(p.evaluate(1j) - (1j ** -1 + 2j)) < 1e-12
     with pytest.raises(NotAUnit):
@@ -170,7 +206,7 @@ def _random_mv(rng, nvars=2, min_exp=0):
     coeffs = {}
     for _ in range(rng.randint(1, 3)):
         exps = tuple(rng.randint(min_exp, 2) for _ in range(nvars))
-        coeffs[exps] = Fraction(rng.choice([-2, -1, 1, 2]))
+        coeffs[exps] = rng.choice([-2, -1, 1, 2])
     return MultiLaurentPoly(coeffs, nvars)
 
 
@@ -186,10 +222,6 @@ def _mv_unit_norm(expr, x, y):
 def _mv_to_sympy(p, x, y):
     return sum(sympy.Rational(c.numerator, c.denominator)
                * x ** e[0] * y ** e[1] for e, c in p.coeffs.items())
-
-
-def _all_int(p):
-    return all(type(c) is int for c in p.coeffs.values())
 
 
 def _int_poly(rng):
@@ -224,51 +256,22 @@ def test_integer_polynomials_keep_int_coefficients():
         assert mv_exact_div(a * b, b) == a
 
 
-def test_divmod_by_non_monic_gives_fractions_not_floats():
-    rng = random.Random(53)
-    for _ in range(20):
-        a = _int_poly(rng)
-        b = LaurentPoly({-1: rng.choice([2, 3, -5]), 1: rng.randint(-3, 3),
-                         2: rng.choice([2, 3, 7])})
-        q, r = divmod_laurent(a, b)
-        assert q * b + r == a
-        for c in list(q.coeffs.values()) + list(r.coeffs.values()):
-            assert type(c) in (int, Fraction)
-    q, _ = divmod_laurent(LaurentPoly({0: 1, 3: 1}), LaurentPoly({0: 1, 1: 2}))
-    assert any(type(c) is Fraction for c in q.coeffs.values())
-
-
-def test_integral_fraction_is_stored_as_int():
-    p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 2)})
-    assert type(p.coeffs[0]) is int and p.coeffs[0] == 2
-    assert type(p.coeffs[1]) is Fraction
-    m = MultiLaurentPoly({(1, -1): Fraction(-6, 3)}, 2)
-    assert type(m.coeffs[(1, -1)]) is int and m.coeffs[(1, -1)] == -2
-    assert LaurentPoly.monomial(2, 3) ** -1 == LaurentPoly.monomial(
-        -2, Fraction(1, 3))
-    assert _all_int(LaurentPoly.monomial(2, -1) ** -1)
-
-
-def test_integral_results_of_fraction_arithmetic_are_ints():
-    """Sums, differences and products of Fraction coefficients are stored
-    as ints where they are integral, as the constructors store them."""
-    half = Fraction(1, 2)
-    p = LaurentPoly({0: 2, 1: 4}) * LaurentPoly({0: half})
-    assert p.coeffs == {0: 1, 1: 2} and _all_int(p)
-    q = LaurentPoly({0: half, 1: Fraction(3, 2)})
-    s = q + LaurentPoly({0: half, 1: half})
-    assert s.coeffs == {0: 1, 1: 2} and _all_int(s)
-    d = q - LaurentPoly({0: Fraction(-1, 2), 1: half})
-    assert d.coeffs == {0: 1, 1: 1} and _all_int(d)
-    assert _all_int(LaurentPoly({2: half}).derivative())
-    _, r = divmod_laurent(LaurentPoly({0: 3, 1: 3, 2: 2}),
-                          LaurentPoly({0: 2, 1: 4}))
-    assert r.coeffs == {0: 2} and _all_int(r)
-    m = MultiLaurentPoly({(1, 0): half, (0, 1): half}, 2)
-    assert _all_int(m.set_all_equal())
-    mv_half = MultiLaurentPoly({(1, 0): half}, 2)
-    prod = mv_half * MultiLaurentPoly.constant(2, 2)
-    assert prod.coeffs == {(1, 0): 1} and _all_int(prod)
-    total = mv_half + MultiLaurentPoly({(1, 0): Fraction(3, 2)}, 2)
-    assert total.coeffs == {(1, 0): 2} and _all_int(total)
-    assert _all_int(mv_half - mv_half + MultiLaurentPoly.one(2))
+def test_non_integral_coefficients_and_non_units_raise_typed_errors():
+    """Coefficients are ints (an integral Fraction is stored as one), and
+    only +-t^k and +-monomials are units."""
+    p = LaurentPoly({0: Fraction(4, 2), 1: -1})
+    assert p.coeffs == {0: 2, 1: -1} and _all_int(p)
+    for bad in (Fraction(1, 2), 0.5, 1j):
+        with pytest.raises(ValidationError):
+            LaurentPoly({0: bad})
+        with pytest.raises(ValidationError):
+            MultiLaurentPoly({(0, 1): bad}, 2)
+    two_t = LaurentPoly.monomial(1, 2)
+    assert not two_t.is_unit() and LaurentPoly.monomial(-3, -1).is_unit()
+    with pytest.raises(NotAUnit):
+        two_t ** -1
+    assert LaurentPoly.monomial(2, -1) ** -1 == LaurentPoly.monomial(-2, -1)
+    with pytest.raises(NotAUnit):
+        MultiLaurentPoly.monomial((1, 0), 2).term_inverse()
+    with pytest.raises(NotAUnit):
+        AbelianWeights({1: MultiLaurentPoly.monomial((1,), 2)}, 1)

@@ -1,6 +1,6 @@
-"""Smith normal form over Q[t,t^-1] against a brute-force minor-gcd
-oracle (sympy), plus determinant checks against sympy and against a
-two-phase elimination kept here as an oracle."""
+"""Smith normal form over Q[t,t^-1] of integer Laurent matrices against a
+brute-force minor-gcd oracle (sympy), plus determinant checks against
+sympy and against a two-phase elimination kept here as an oracle."""
 import itertools
 import random
 from fractions import Fraction
@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 from alexkit.alexander import alexander_matrix
 from alexkit.codes import braid_closure
 from alexkit.errors import DimensionMismatch
+from alexkit.fox import AbelianWeights
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              exact_div, gcd_laurent, mv_exact_div,
                              normalize_unit)
@@ -108,10 +109,41 @@ def test_unit_presolve_matches_minor_gcd_oracle():
             row[rng.randrange(ncols)] = _unit(rng)
             rows.append(row)
         factors = _check_against_oracle(rows)
-        # pivots c*t^k with |c| > 1 leave true fractions behind them; the
-        # canonical factors are integral
+        # pivots c*t^k with |c| > 1 are pseudo-divided, not inverted
         assert all(type(c) is int for d in factors
                    for c in d.coeffs.values())
+
+
+# non-monic entries: no +-t^k among them or their products
+_NON_MONIC = (LaurentPoly({1: 2}), LaurentPoly({0: 3, 1: -1}),
+              LaurentPoly({0: 2, 1: 2}), LaurentPoly({-1: 3, 1: -2}),
+              LaurentPoly({0: -2, 2: 3}), LaurentPoly({0: 3}))
+
+
+def test_snf_non_monic_pivots_match_minor_gcd_oracle():
+    """Entries are products of polynomials such as 2t, 3 - t and 2 + 2t,
+    so every pivot is pseudo-divided and the row and column steps scale
+    by integers s > 1."""
+    one, t = LaurentPoly.one(), LaurentPoly.t()
+    zero = LaurentPoly.zero()
+    a, b, c = 3 * one - t, one + t, 3 * t - one
+    # the pivot a(1 - t) has a clear column, and its row's other entries
+    # need different scales s, so the rest of each of their columns must
+    # be scaled too
+    rows = [[a * (one - t), b * b, 2 * b * a], [zero, c * a, zero]]
+    assert _check_against_oracle(rows) == [
+        one, LaurentPoly({0: 9, 1: -33, 2: 19, 3: -3})]
+    rows = [[LaurentPoly({0: -3, 1: 10, 2: -3}), LaurentPoly({1: 4, 2: 4}),
+             LaurentPoly({0: 1, 1: 1, 2: -2}), (one + 2 * t) ** 2],
+            [zero, 2 * b * (one + 2 * t), zero, (one - t) * b]]
+    assert _check_against_oracle(rows) == [one, b]
+    rng = random.Random(83)
+    for _ in range(14):
+        nrows, ncols = rng.randint(2, 3), rng.randint(2, 4)
+        rows = [[rng.choice(_NON_MONIC) * rng.choice(_NON_MONIC)
+                 if rng.random() < 0.85 else zero for _ in range(ncols)]
+                for _ in range(nrows)]
+        _check_against_oracle(rows)
 
 
 def test_unit_presolve_edge_cases():
@@ -269,8 +301,8 @@ def test_gcd_consistency_with_snf_scalars():
 
 
 def _two_phase_det(rows, one):
-    """Oracle determinant in two phases: unit pivots of least Markowitz
-    cost clear their columns, then the rest is densified and reduced by
+    """Oracle determinant in two phases: unit pivots +-t^k of least
+    Markowitz cost clear their columns, then the rest is densified and reduced by
     forward Bareiss elimination, each pivot a nonzero entry of fewest
     terms swapped into place by a row and a column swap."""
     if isinstance(one, MultiLaurentPoly):
@@ -293,7 +325,7 @@ def _two_phase_det(rows, one):
             return zero
         units = [((len(row) - 1) * (counts[j] - 1), i, j)
                  for i, row in enumerate(live)
-                 for j, x in row.items() if len(x.coeffs) == 1]
+                 for j, x in row.items() if x.is_unit()]
         if not units:
             break
         _, i, j = min(units)
@@ -438,3 +470,45 @@ def test_poly_det_rejects_non_square(rows):
     with pytest.raises(DimensionMismatch) as info:
         poly_det(rows, LaurentPoly.one())
     assert info.value.exit_code == 3
+
+
+def _ints(p):
+    return all(type(c) is int for c in p.coeffs.values())
+
+
+def test_reductions_of_fox_matrices_have_int_coefficients():
+    """Smith factors, determinants of the minors and gcds of the entries
+    of seeded Fox matrices, as they are and with each row times a
+    non-monic factor, have int coefficients: the reductions assign
+    coefficient maps directly, past the constructors' check."""
+    rng = random.Random(89)
+    checked = 0
+    for _ in range(12):
+        d = braid_closure(random_braid(rng, max_strands=4, max_len=9))
+        fox = alexander_matrix(
+            d, AbelianWeights.all_t(range(1, d.arc_count + 1)))
+        plain = fox.univariate_rows()
+        for rows in (plain, [[x * rng.choice(_NON_MONIC) for x in row]
+                             for row in plain]):
+            assert all(_ints(f) for f in smith_normal_form(rows))
+            for minor in _column_minors(rows):
+                assert _ints(poly_det(minor, LaurentPoly.one()))
+            entries = [x for row in rows for x in row]
+            for a, b in zip(entries, entries[1:]):
+                assert _ints(gcd_laurent(a, b))
+            checked += 1
+        mv = alexander_matrix(d)
+        one = MultiLaurentPoly.one(mv.variable_count)
+        for minor in _column_minors(mv.rows):
+            assert all(type(c) is int
+                       for c in poly_det(minor, one).coeffs.values())
+    assert checked == 24
+
+
+def _column_minors(rows):
+    """The square matrices left by deleting one column, if there are."""
+    ncols = len(rows[0]) if rows else 0
+    if ncols != len(rows) + 1:
+        return []
+    return [[row[:col] + row[col + 1:] for row in rows]
+            for col in range(ncols)]

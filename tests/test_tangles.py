@@ -9,9 +9,11 @@ import pytest
 import alexkit.snf
 import alexkit.tangles
 from alexkit.alexander import knot_delta
+from alexkit.burau import burau_unreduced, span_trace_fix
 from alexkit.codes import BraidWord, braid_closure, catalog_lookup
 from alexkit.errors import BoundaryMismatch, DimensionMismatch, ParseError
-from alexkit.fields import ComplexPoint, GenericTField, RationalPoint
+from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
+                            mat_mul)
 from alexkit.laurent import LaurentPoly, canonical_poly, normalize_unit
 from alexkit.snf import smith_normal_form
 from alexkit.tangles import (Compose, Gen, Tensor, braid_closure_expr,
@@ -143,6 +145,34 @@ def test_two_routes_agree_larger_braids():
         e = braid_expr(b)
         assert spans_equivalent(evaluate_tangle(e, field),
                                 tangle_linear_system(e, field)), b.render()
+
+
+def test_tqft_recovers_burau():
+    """The paper's claim that the span TQFT recovers the Burau
+    representation, at rational, generic and complex t: an open braid w
+    evaluates to a span of mid dimension n whose right leg is B(w reversed)
+    times its left leg, B the unreduced Burau matrix, and a closure has the
+    mid dimension of the span trace of B(w)."""
+    rng = random.Random(79)
+    fields = (RationalPoint(Fraction(-2, 3)), GenericTField(),
+              ComplexPoint(cmath.exp(1j)))
+    for _ in range(16):
+        n = rng.randint(2, 5)
+        w = _open_braid(rng, n, rng.randint(0, 10))
+        b = burau_unreduced(BraidWord(n, w.letters[::-1]))
+        for field in fields:
+            span = evaluate_tangle(braid_expr(w), field)
+            assert span.mid_dim == n
+            image = mat_mul(field, Mat([[field.from_laurent(x) for x in row]
+                                        for row in b.rows], n), span.left)
+            if field.exact:
+                assert image.rows == span.right.rows, w.render()
+            else:
+                assert all(abs(x - y) < 1e-9 for r, s in zip(
+                    image.rows, span.right.rows) for x, y in zip(r, s))
+            closed = evaluate_tangle(braid_closure_expr(w), field)
+            assert closed.mid_dim == span_trace_fix(
+                burau_unreduced(w), field).mid_dim, w.render()
 
 
 def test_closed_trefoil_mid_dims():

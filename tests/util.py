@@ -1,7 +1,5 @@
 """Shared helpers for the test suite: seeded random braids, random
 Laurent polynomials, and random well-typed tangle expressions."""
-from fractions import Fraction
-
 from alexkit import BraidWord
 from alexkit.laurent import LaurentPoly
 from alexkit.tangles import Compose, Gen, Tensor
@@ -20,7 +18,7 @@ def random_poly(rng, max_deg=2, min_exp=0, max_coeff=3, allow_zero=True):
     for e in range(min_exp, max_deg + 1):
         c = rng.randint(-max_coeff, max_coeff)
         if c:
-            coeffs[e] = Fraction(c)
+            coeffs[e] = c
     p = LaurentPoly(coeffs)
     if p.is_zero and not allow_zero:
         return LaurentPoly.monomial(rng.randint(min_exp, max_deg))
