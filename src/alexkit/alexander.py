@@ -1,15 +1,19 @@
 """Alexander matrices from crossing lists, elementary-ideal invariants,
 fibre dimensions, virtual classes, ring presentations, and the
 multivariable Alexander polynomial, read off two Fox minors by Torres's
-theorem and cross-checked between them.
+theorem and cross-checked between them.  Fox rows are written per
+crossing in closed form (Crowell-Fox, 1963, ch. VII): at weight t they are
+the AGL_1 equations q_out = m q_in + (1 - m) q_over, m = t^sign.
 """
 from __future__ import annotations
+
+import math
 
 from . import fields
 from .errors import (RouteDisagreement, UnknownGenerator,
                      UseMultivariableRoute, UseUnivariateRoute)
 from .fields import ComplexPoint, Mat, RationalPoint, ScalarField
-from .fox import AbelianWeights, fox_derivative_abelianized, reduce_word
+from .fox import AbelianWeights
 from .laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                       distinct_root_count, mv_exact_div, mv_normalize)
 # unused here; perfbench/layertrace.py traces alexander.gcd_multivariate
@@ -20,17 +24,9 @@ from .snf import poly_det, smith_normal_form
 def component_weights(d):
     """Default weights: each arc goes to the variable of its component."""
     s = d.component_count
+    variables = [MultiLaurentPoly.variable(k, s) for k in range(1, s + 1)]
     return AbelianWeights(
-        {arc: MultiLaurentPoly.variable(comp, s)
-         for arc, comp in d.components.items()}, s)
-
-
-def _relator(c):
-    """Wirtinger relator of a crossing: x_out = x_over^s x_in x_over^-s."""
-    j, i, k = c.over, c.under_in, c.under_out
-    if c.sign > 0:
-        return reduce_word([(j, 1), (i, 1), (j, -1), (k, -1)])
-    return reduce_word([(j, -1), (i, 1), (j, 1), (k, -1)])
+        {arc: variables[comp - 1] for arc, comp in d.components.items()}, s)
 
 
 class AlexanderMatrix:
@@ -57,28 +53,36 @@ class AlexanderMatrix:
 
 
 def alexander_matrix(d, weights=None):
-    """Fox-derivative rows of the Wirtinger relators, with the last
-    crossing's (redundant) relation dropped."""
+    """Fox-derivative rows of the Wirtinger relators x_j^s x_i x_j^-s
+    x_k^-1, with the last crossing's (redundant) relation dropped.
+
+    In closed form (Crowell-Fox, Introduction to Knot Theory, ch. VII),
+    over arc j, under arcs i -> k and weights w give 1 - w_i at j, w_j at
+    i when s = +1, w_j^-1 (w_i - 1) at j, w_j^-1 at i when s = -1, and -1
+    at k, exact as w_i == w_k is checked; coinciding arcs add."""
     if weights is None:
         weights = component_weights(d)
     for arc in range(1, d.arc_count + 1):
         if arc not in weights.assignment:
             raise UnknownGenerator("no weight for arc %d" % arc)
     for c in d.crossings:
-        win = weights.weight(c.under_in)
-        wout = weights.weight(c.under_out)
-        if win != wout:
+        if weights.weight(c.under_in) != weights.weight(c.under_out):
             raise UnknownGenerator(
                 "arcs %d and %d lie on one component but carry different "
                 "weights" % (c.under_in, c.under_out))
-    # a relator involves at most three arcs; every other derivative is 0
-    zero = MultiLaurentPoly.zero(weights.nvars)
+    one = MultiLaurentPoly.one(weights.nvars)
+    zero, minus_one = one - one, -one
     rows = []
     for c in d.crossings[:-1]:
-        w = _relator(c)
+        wj, wi = weights.assignment[c.over], weights.assignment[c.under_in]
+        if c.sign > 0:
+            entries = ((c.over, one - wi), (c.under_in, wj))
+        else:
+            inv = wj.term_inverse()
+            entries = ((c.over, inv * (wi - one)), (c.under_in, inv))
         row = [zero] * d.arc_count
-        for arc in {g for g, _ in w.letters}:
-            row[arc - 1] = fox_derivative_abelianized(w, arc, weights)
+        for arc, entry in entries + ((c.under_out, minus_one),):
+            row[arc - 1] = row[arc - 1] + entry if row[arc - 1] else entry
         rows.append(row)
     return AlexanderMatrix(rows, d.arc_count, weights.nvars)
 
@@ -211,15 +215,8 @@ class RingPresentation:
             else:
                 piece = "(%s) %s" % (coeff.render(), var)
             parts.append(piece)
-        out = ""
-        for piece in parts:
-            if not out:
-                out = piece
-            elif piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out or "0"
+        # no rendered coefficient contains " + -"
+        return " + ".join(parts).replace(" + -", " - ") or "0"
 
     def render(self):
         lines = ["generators: %s"
@@ -280,12 +277,15 @@ def multivariable_alexander(d):
 
 
 def knot_delta(d):
-    """Delta^1 of a crossing list through the Fox route (any component
-    count; all weights set to the single variable t)."""
+    """Delta^1 = d1...d_{n-1} of a crossing list through the Fox route,
+    0 with fewer invariant factors (any component count; all weights set
+    to the single variable t)."""
     s = d.component_count
     if s == 1:
         m = alexander_matrix(d)
     else:
         m = alexander_matrix(
             d, AbelianWeights.all_t(range(1, d.arc_count + 1)))
-    return _invariants(m)[1][0]
+    factors = smith_normal_form(m.univariate_rows())
+    factors += [LaurentPoly.zero()] * (m.arc_count - 1 - len(factors))
+    return canonical_poly(math.prod(factors, start=LaurentPoly.one()))

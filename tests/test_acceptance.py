@@ -13,12 +13,12 @@ from alexkit.alexander import (alexander_data, alexander_matrix,
                                multivariable_alexander, virtual_class,
                                VirtualClassPoly)
 from alexkit.burau import burau_reduced, burau_unreduced, closure_alexander
-from alexkit.codes import BraidWord, braid_closure, catalog_lookup, parse_braid
+from alexkit.codes import BraidWord, braid_closure, catalog_lookup
 from alexkit.fields import GenericTField, RationalPoint
 from alexkit.fox import (AbelianWeights, fox_derivative_abelianized,
                          reduce_word)
-from alexkit.laurent import (LaurentPoly, canonical_poly, exact_div,
-                             normalize_unit, pseudo_divmod)
+from alexkit.laurent import (LaurentPoly, exact_div, normalize_unit,
+                             pseudo_divmod)
 from alexkit.snf import poly_det, smith_normal_form
 from alexkit.tangles import (Compose, Tensor, braid_closure_expr,
                              closed_tangle_delta, compose_spans,

@@ -24,7 +24,7 @@ from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              distinct_root_count, gcd_multivariate,
                              mv_normalize, normalize_unit)
 from alexkit.snf import poly_det, smith_normal_form
-from util import random_braid
+from util import random_braid, random_crossing_list, wirtinger_fox_rows
 
 
 def test_matrix_shape_and_row_sums():
@@ -35,6 +35,44 @@ def test_matrix_shape_and_row_sums():
     for row in m.univariate_rows():
         total = sum(entry.evaluate(Fraction(1)) for entry in row)
         assert total == 0
+
+
+def _random_monomial_weights(rng, d):
+    """One random +-monomial in 1-3 variables per component."""
+    nvars = rng.randint(1, 3)
+    per_component = {
+        comp: MultiLaurentPoly.monomial(
+            [rng.randint(-2, 2) for _ in range(nvars)], rng.choice((1, -1)))
+        for comp in range(1, d.component_count + 1)}
+    return AbelianWeights({arc: per_component[comp]
+                           for arc, comp in d.components.items()}, nvars)
+
+
+def _assert_closed_form_rows(rng, d):
+    for weights in (component_weights(d),
+                    AbelianWeights.all_t(range(1, d.arc_count + 1)),
+                    _random_monomial_weights(rng, d)):
+        m = alexander_matrix(d, weights)
+        assert m.variable_count == weights.nvars
+        assert list(m.rows) == wirtinger_fox_rows(d, weights), d.render()
+
+
+def test_closed_form_rows_match_wirtinger_relators():
+    """The closed-form rows equal the Fox derivatives of the freely
+    reduced relators, on braid closures and on kinked crossing lists."""
+    rng = random.Random(61)
+    for _ in range(800):
+        n = rng.randint(1, 6)
+        letters = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                   for _ in range(rng.randint(0, 14) if n > 1 else 0)]
+        _assert_closed_form_rows(rng, braid_closure(BraidWord(n, letters)))
+    kinks = 0
+    for _ in range(1200):
+        d = random_crossing_list(rng)
+        kinks += sum(c.over in (c.under_in, c.under_out)
+                     for c in d.crossings)
+        _assert_closed_form_rows(rng, d)
+    assert kinks > 1000
 
 
 def test_catalog_knot_deltas():

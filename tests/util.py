@@ -1,7 +1,10 @@
 """Shared helpers for the test suite: seeded random braids, random
-Laurent polynomials, and random well-typed tangle expressions."""
+Laurent polynomials, random crossing lists, the word-based Fox rows, and
+random well-typed tangle expressions."""
 from alexkit import BraidWord
-from alexkit.laurent import LaurentPoly
+from alexkit.codes import Crossing, CrossingList
+from alexkit.fox import fox_derivative_abelianized, reduce_word
+from alexkit.laurent import LaurentPoly, MultiLaurentPoly
 from alexkit.tangles import Compose, Gen, Tensor
 
 
@@ -23,6 +26,39 @@ def random_poly(rng, max_deg=2, min_exp=0, max_coeff=3, allow_zero=True):
     if p.is_zero and not allow_zero:
         return LaurentPoly.monomial(rng.randint(min_exp, max_deg))
     return p
+
+
+def random_crossing_list(rng, max_arcs=7):
+    """A closed diagram on 1..max_arcs arcs, some of them free loops; half
+    of the crossings are kinks, whose over arc is their own under-in or
+    under-out arc."""
+    n = rng.randint(1, max_arcs)
+    ins = rng.sample(range(1, n + 1), rng.randint(0, n))
+    outs = rng.sample(ins, len(ins))
+    crossings = []
+    for i, k in zip(ins, outs):
+        if rng.random() < 0.5:
+            j = rng.choice((i, k))
+        else:
+            j = rng.randint(1, n)
+        crossings.append(Crossing(i, j, k, rng.choice((1, -1))))
+    return CrossingList(n, crossings)
+
+
+def wirtinger_fox_rows(d, weights):
+    """Reference Fox rows: each crossing's Wirtinger relator
+    x_j^s x_i x_j^-s x_k^-1, freely reduced and differentiated letter by
+    letter with fox_derivative_abelianized; the last crossing dropped."""
+    zero = MultiLaurentPoly.zero(weights.nvars)
+    rows = []
+    for c in d.crossings[:-1]:
+        j, i, k, s = c.over, c.under_in, c.under_out, c.sign
+        w = reduce_word([(j, s), (i, 1), (j, -s), (k, -1)])
+        row = [zero] * d.arc_count
+        for arc in {g for g, _ in w.letters}:
+            row[arc - 1] = fox_derivative_abelianized(w, arc, weights)
+        rows.append(tuple(row))
+    return rows
 
 
 def _tensor_chain(factors):
