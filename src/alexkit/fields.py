@@ -186,7 +186,8 @@ def _fraction_free(field, m, full):
     which keeps the reduction deterministic for golden outputs.  Each
     updated row becomes (pivot * row - factor * pivot row) / previous
     pivot, every division exact; a row with no entry in the pivot column
-    is only rescaled on its nonzeros.  With `full`, rows above each pivot
+    is only rescaled on its nonzeros, and left alone when the pivot
+    equals the previous one.  With `full`, rows above each pivot
     are reduced too, so pivot columns are clear elsewhere and every pivot
     entry equals the last pivot; otherwise only the rows below are
     (forward Bareiss), which is all a rank needs.  Returns (rows, pivot
@@ -211,6 +212,8 @@ def _fraction_free(field, m, full):
                 continue
             row = rows[i]
             factor = row.get(col)
+            if factor is None and pivot == prev:
+                continue  # (pivot * row) / prev is the row itself
             new = {j: pivot * x for j, x in row.items() if j != col}
             if factor is not None:
                 for j, y in lead.items():

@@ -7,12 +7,16 @@ constructors reject a non-integral one.  The units of these rings are
 Division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1): `pseudo_divmod`
 scales the dividend by the least positive integer that keeps the quotient
 integral, and gcds follow the primitive remainder sequence (Brown,
-J. ACM 18, 1971).  The zero polynomial is the empty coefficient map.
+J. ACM 18, 1971).  A product by a single term c*t^k, and an exact
+division by such a term, is a shift of the other operand's exponents
+with its coefficients scaled by c.  The zero polynomial is the empty
+coefficient map.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add
 
 from .errors import NotAUnit, ValidationError, ZeroPolynomial
 
@@ -123,17 +127,35 @@ class LaurentPoly:
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        data = dict(self.coeffs)
+        get = data.get
+        for e, c in other.coeffs.items():
+            s = get(e, 0) - c
+            if s:
+                data[e] = s
+            else:
+                del data[e]
+        out = LaurentPoly()
+        out.coeffs = data
+        return out
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        out = LaurentPoly()
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            (k, c), = b.items()
+            out.coeffs = {e + k: x * c for e, x in a.items()}
+            return out
         data = {}
         get = data.get
-        terms = tuple(other.coeffs.items())
-        for e1, c1 in self.coeffs.items():
+        terms = tuple(b.items())
+        for e1, c1 in a.items():
             for e2, c2 in terms:
                 e = e1 + e2
                 s = get(e, 0) + c1 * c2
@@ -141,7 +163,6 @@ class LaurentPoly:
                     data[e] = s
                 else:
                     del data[e]
-        out = LaurentPoly()
         out.coeffs = data
         return out
 
@@ -294,6 +315,13 @@ def pseudo_divmod(a, b):
 
 
 def exact_div(a, b):
+    """a / b, raising ValueError unless b divides a in Z[t,t^-1]."""
+    if len(b.coeffs) == 1:
+        (k, c), = b.coeffs.items()
+        if all(x % c == 0 for x in a.coeffs.values()):
+            q = LaurentPoly()
+            q.coeffs = {e - k: x // c for e, x in a.coeffs.items()}
+            return q
     s, q, r = pseudo_divmod(a, b)
     if s != 1 or r:
         raise ValueError("inexact Laurent division: %s by %s"
@@ -348,7 +376,10 @@ class MultiLaurentPoly:
 
     @classmethod
     def zero(cls, nvars):
-        return cls(None, nvars)
+        out = cls.__new__(cls)
+        out.coeffs = {}
+        out.nvars = nvars
+        return out
 
     @classmethod
     def one(cls, nvars):
@@ -429,6 +460,8 @@ class MultiLaurentPoly:
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
+        if not isinstance(other, MultiLaurentPoly):
+            return NotImplemented
         self._check(other)
         data = dict(self.coeffs)
         for exps, c in other.coeffs.items():
@@ -447,22 +480,43 @@ class MultiLaurentPoly:
         return out
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, MultiLaurentPoly):
+            return NotImplemented
+        self._check(other)
+        data = dict(self.coeffs)
+        for exps, c in other.coeffs.items():
+            s = data.get(exps, 0) - c
+            if s:
+                data[exps] = s
+            else:
+                data.pop(exps, None)
+        out = MultiLaurentPoly.zero(self.nvars)
+        out.coeffs = data
+        return out
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = MultiLaurentPoly.constant(other, self.nvars)
+        if not isinstance(other, MultiLaurentPoly):
+            return NotImplemented
         self._check(other)
+        out = MultiLaurentPoly.zero(self.nvars)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            (k, c), = b.items()
+            out.coeffs = {tuple(map(add, e, k)): x * c for e, x in a.items()}
+            return out
         data = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
                 s = data.get(e, 0) + c1 * c2
                 if s:
                     data[e] = s
                 else:
                     data.pop(e, None)
-        out = MultiLaurentPoly.zero(self.nvars)
         out.coeffs = data
         return out
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from alexkit import alexander
-from alexkit.alexander import (AlexanderData, alexander_data,
-                               alexander_matrix, component_weights,
-                               fibre_dimension, knot_delta,
-                               multivariable_alexander, ring_presentation,
-                               virtual_class, VirtualClassPoly)
+from alexkit.alexander import (alexander_data, alexander_matrix,
+                               component_weights, fibre_dimension,
+                               knot_delta, multivariable_alexander,
+                               ring_presentation, virtual_class,
+                               VirtualClassPoly)
 from alexkit.burau import closure_alexander
 from alexkit.codes import (BraidWord, braid_closure, catalog_lookup,
                            catalog_names, parse_braid)

@@ -1,4 +1,5 @@
 """Exact Laurent arithmetic against sympy oracles and algebraic laws."""
+import operator
 import random
 from fractions import Fraction
 
@@ -15,9 +16,14 @@ from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              normalize_unit, pseudo_divmod)
 
 _t = sympy.symbols("t")
+_mv_symbols = sympy.symbols("x y z")
 
 
 def to_sympy(p):
+    if isinstance(p, int):
+        return sympy.Integer(p)
+    if isinstance(p, MultiLaurentPoly):
+        return _mv_to_sympy(p, *_mv_symbols[:p.nvars])
     return sum(sympy.Rational(c.numerator, c.denominator) * _t ** e
                for e, c in p.coeffs.items())
 
@@ -29,34 +35,75 @@ def poly_strategy(min_exp=-3, max_exp=4):
         max_size=5).map(LaurentPoly)
 
 
-@given(poly_strategy(), poly_strategy(), poly_strategy())
-@settings(max_examples=60, deadline=None)
-def test_ring_laws(a, b, c):
+def operands(nvars=0):
+    """General polynomials, single terms c*t^k (c in +-1..+-5, k in
+    -4..4) and zero, so every path of +, - and * runs; nvars = 0 is the
+    univariate ring, 2 and 3 the multivariate ones."""
+    coeff = st.integers(-5, 5).filter(bool)
+    if nvars == 0:
+        single = st.builds(LaurentPoly.monomial, st.integers(-4, 4), coeff)
+        return st.one_of(poly_strategy(), single,
+                         st.just(LaurentPoly.zero()))
+    exps = st.tuples(*[st.integers(-4, 4)] * nvars)
+    general = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * nvars),
+                              st.integers(-5, 5), max_size=4)
+    return st.one_of(general.map(lambda d: MultiLaurentPoly(d, nvars)),
+                     st.builds(MultiLaurentPoly.monomial, exps, coeff),
+                     st.just(MultiLaurentPoly.zero(nvars)))
+
+
+def _zero_one(nvars):
+    if nvars == 0:
+        return LaurentPoly.zero(), LaurentPoly.one()
+    return MultiLaurentPoly.zero(nvars), MultiLaurentPoly.one(nvars)
+
+
+_nvars = st.sampled_from((0, 2, 3))
+
+
+@given(_nvars, st.data())
+@settings(max_examples=120, deadline=None)
+def test_ring_laws(nvars, data):
+    a, b, c = (data.draw(operands(nvars)) for _ in range(3))
+    n = data.draw(st.integers(-5, 5))
+    zero, one = _zero_one(nvars)
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + LaurentPoly.zero() == a
-    assert a * LaurentPoly.one() == a
-    assert a - a == LaurentPoly.zero()
+    assert a + zero == a
+    assert a * one == one * a == a
+    assert a - a == zero
+    assert a - b == a + (-b)
+    assert a * n == n * a == a * (one * n)
 
 
-@given(poly_strategy(), poly_strategy())
-@settings(max_examples=60, deadline=None)
-def test_mul_matches_sympy(a, b):
-    assert sympy.simplify(to_sympy(a * b) - to_sympy(a) * to_sympy(b)) == 0
+@given(_nvars, st.data())
+@settings(max_examples=120, deadline=None)
+def test_mul_matches_sympy(nvars, data):
+    a, b = (data.draw(st.one_of(operands(nvars), st.integers(-5, 5)))
+            for _ in range(2))
+    for p in (a * b, b * a):
+        assert sympy.simplify(to_sympy(p) - to_sympy(a) * to_sympy(b)) == 0
 
 
 def _all_int(p):
     return all(type(c) is int for c in p.coeffs.values())
 
 
-@given(poly_strategy(), poly_strategy())
+@given(poly_strategy(), operands())
 @settings(max_examples=60, deadline=None)
 def test_divmod_is_division_with_remainder(a, b):
     """s*a = q*b + r with spread(r) < spread(b), a positive int s and int
-    coefficients; s = 1 and r = 0 when b divides a."""
+    coefficients; s = 1 and r = 0 when b divides a, and dividing by 2t
+    is exact iff every coefficient is even."""
+    two_t = LaurentPoly.monomial(1, 2)
+    if any(c % 2 for c in a.coeffs.values()):
+        with pytest.raises(ValueError):
+            exact_div(a, two_t)
+    else:
+        assert exact_div(a, two_t) * two_t == a
     if b.is_zero:
         with pytest.raises(ZeroDivisionError):
             pseudo_divmod(a, b)
@@ -67,7 +114,7 @@ def test_divmod_is_division_with_remainder(a, b):
     assert r.is_zero or r.spread < b.spread
     assert _all_int(q) and _all_int(r)
     assert pseudo_divmod(a * b, b) == (1, a, LaurentPoly.zero())
-    assert exact_div(a * b, b) == a
+    assert exact_div(a * b, b) == a and _all_int(exact_div(a * b, b))
 
 
 def test_pseudo_divmod_by_non_monic_divisors():
@@ -197,6 +244,15 @@ def test_mv_exact_div_laurent_quotients():
         q = _random_mv(rng, nvars, min_exp=-2) * MultiLaurentPoly.monomial(
             (-2,) * nvars)
         assert mv_exact_div(p * q, q) == p
+        m = MultiLaurentPoly.monomial(
+            [rng.randint(-4, 4) for _ in range(nvars)],
+            rng.choice((-5, -3, -2, -1, 1, 2, 4, 5)))
+        assert mv_exact_div(p * m, m) == p
+        two_t1 = MultiLaurentPoly.monomial((1,) + (0,) * (nvars - 1), 2)
+        assert mv_exact_div(p * two_t1, two_t1) == p
+        if any(c % 2 for c in p.coeffs.values()):
+            with pytest.raises(ValueError):
+                mv_exact_div(p, two_t1)
     t1, t2 = (MultiLaurentPoly.variable(i, 2) for i in (1, 2))
     with pytest.raises(ValueError):
         mv_exact_div(t1 + t2, t1 - t2)
@@ -219,9 +275,10 @@ def _mv_unit_norm(expr, x, y):
     return sympy.expand(out / abs(lead) * (1 if lead > 0 else -1))
 
 
-def _mv_to_sympy(p, x, y):
-    return sum(sympy.Rational(c.numerator, c.denominator)
-               * x ** e[0] * y ** e[1] for e, c in p.coeffs.items())
+def _mv_to_sympy(p, *symbols):
+    return sum((sympy.Integer(c) * sympy.Mul(*(x ** k for x, k
+                                               in zip(symbols, e)))
+                for e, c in p.coeffs.items()), sympy.Integer(0))
 
 
 def _int_poly(rng):
@@ -275,3 +332,24 @@ def test_non_integral_coefficients_and_non_units_raise_typed_errors():
         MultiLaurentPoly.monomial((1, 0), 2).term_inverse()
     with pytest.raises(NotAUnit):
         AbelianWeights({1: MultiLaurentPoly.monomial((1,), 2)}, 1)
+
+
+def test_multivariate_operators_reject_other_operands():
+    """+, - and * of a MultiLaurentPoly with anything but one (or an int
+    factor) raise TypeError; a variable count mismatch, ValueError."""
+    one = MultiLaurentPoly.one(2)
+    for other in (1, 1.5, Fraction(1, 2), LaurentPoly.one()):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(one, other)
+            with pytest.raises(TypeError):
+                op(other, one)
+    for other in (1.5, Fraction(1, 2), LaurentPoly.one()):
+        with pytest.raises(TypeError):
+            one * other
+        with pytest.raises(TypeError):
+            other * one
+    assert one * 3 == 3 * one == MultiLaurentPoly.constant(3, 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(one, MultiLaurentPoly.one(3))
