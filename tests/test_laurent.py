@@ -58,63 +58,78 @@ def _zero_one(nvars):
     return MultiLaurentPoly.zero(nvars), MultiLaurentPoly.one(nvars)
 
 
-_nvars = st.sampled_from((0, 2, 3))
+def _mixed(data, nvars, ints=False):
+    """Draw one operand from `operands(nvars)`, or an int as well."""
+    strategy = operands(nvars)
+    return data.draw(st.one_of(strategy, st.integers(-5, 5)) if ints
+                     else strategy)
 
 
-@given(_nvars, st.data())
-@settings(max_examples=120, deadline=None)
-def test_ring_laws(nvars, data):
-    a, b, c = (data.draw(operands(nvars)) for _ in range(3))
-    n = data.draw(st.integers(-5, 5))
-    zero, one = _zero_one(nvars)
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + zero == a
-    assert a * one == one * a == a
-    assert a - a == zero
-    assert a - b == a + (-b)
-    assert a * n == n * a == a * (one * n)
+@given(poly_strategy(), poly_strategy(), poly_strategy(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ring_laws(a, b, c, data):
+    """Every example checks three general univariate polynomials, then
+    three mixed operands in each of 1, 2 and 3 variables."""
+    triples = [(0, (a, b, c))] + [
+        (nvars, tuple(_mixed(data, nvars) for _ in range(3)))
+        for nvars in (0, 2, 3)]
+    for nvars, (a, b, c) in triples:
+        n = data.draw(st.integers(-5, 5))
+        zero, one = _zero_one(nvars)
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a
+        assert a * one == one * a == a
+        assert a - a == zero
+        assert a - b == a + (-b)
+        assert a * n == n * a == a * (one * n)
 
 
-@given(_nvars, st.data())
-@settings(max_examples=120, deadline=None)
-def test_mul_matches_sympy(nvars, data):
-    a, b = (data.draw(st.one_of(operands(nvars), st.integers(-5, 5)))
-            for _ in range(2))
-    for p in (a * b, b * a):
-        assert sympy.simplify(to_sympy(p) - to_sympy(a) * to_sympy(b)) == 0
+@given(poly_strategy(), poly_strategy(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_sympy(a, b, data):
+    """Every example checks two general univariate polynomials, then two
+    mixed operands or ints in each of 1, 2 and 3 variables, both ways."""
+    pairs = [(a, b)] + [(_mixed(data, nvars, True), _mixed(data, nvars, True))
+                        for nvars in (0, 2, 3)]
+    for a, b in pairs:
+        for p in (a * b, b * a):
+            assert sympy.simplify(to_sympy(p)
+                                  - to_sympy(a) * to_sympy(b)) == 0
 
 
 def _all_int(p):
     return all(type(c) is int for c in p.coeffs.values())
 
 
-@given(poly_strategy(), operands())
+@given(poly_strategy(), poly_strategy(), operands())
 @settings(max_examples=60, deadline=None)
-def test_divmod_is_division_with_remainder(a, b):
+def test_divmod_is_division_with_remainder(a, b, m):
     """s*a = q*b + r with spread(r) < spread(b), a positive int s and int
     coefficients; s = 1 and r = 0 when b divides a, and dividing by 2t
-    is exact iff every coefficient is even."""
+    is exact iff every coefficient is even.  Every example divides by a
+    general polynomial b and by a mixed operand m."""
     two_t = LaurentPoly.monomial(1, 2)
     if any(c % 2 for c in a.coeffs.values()):
         with pytest.raises(ValueError):
             exact_div(a, two_t)
     else:
         assert exact_div(a, two_t) * two_t == a
-    if b.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            pseudo_divmod(a, b)
-        return
-    s, q, r = pseudo_divmod(a, b)
-    assert type(s) is int and s > 0
-    assert a * s == q * b + r
-    assert r.is_zero or r.spread < b.spread
-    assert _all_int(q) and _all_int(r)
-    assert pseudo_divmod(a * b, b) == (1, a, LaurentPoly.zero())
-    assert exact_div(a * b, b) == a and _all_int(exact_div(a * b, b))
+    for b in (b, m):
+        if b.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                pseudo_divmod(a, b)
+            continue
+        s, q, r = pseudo_divmod(a, b)
+        assert type(s) is int and s > 0
+        assert a * s == q * b + r
+        assert r.is_zero or r.spread < b.spread
+        assert _all_int(q) and _all_int(r)
+        assert pseudo_divmod(a * b, b) == (1, a, LaurentPoly.zero())
+        assert exact_div(a * b, b) == a and _all_int(exact_div(a * b, b))
 
 
 def test_pseudo_divmod_by_non_monic_divisors():
