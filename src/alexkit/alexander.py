@@ -14,8 +14,9 @@ from .errors import (RouteDisagreement, UnknownGenerator,
                      UseMultivariableRoute, UseUnivariateRoute)
 from .fields import ComplexPoint, Mat, RationalPoint, ScalarField
 from .fox import AbelianWeights
-from .laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                      distinct_root_count, mv_exact_div, mv_normalize)
+from .laurent import (LaurentPoly, MultiLaurentPoly, _LaurentCore,
+                      canonical_poly, distinct_root_count, mv_exact_div,
+                      mv_normalize)
 # unused here; perfbench/layertrace.py traces alexander.gcd_multivariate
 from .laurent import gcd_multivariate  # noqa: F401
 from .snf import poly_det, smith_normal_form
@@ -156,29 +157,11 @@ def fibre_dimension(m, t, tol=1e-9):
     return m.arc_count - fields.mat_rank(field, Mat(rows, m.arc_count))
 
 
-class VirtualClassPoly:
+class VirtualClassPoly(_LaurentCore):
     """Integer polynomial in the Lefschetz motive L."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = {int(e): int(c) for e, c in coeffs.items() if c}
-
-    def __eq__(self, other):
-        if not isinstance(other, VirtualClassPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def render(self):
-        from .laurent import _render_terms, _var_power
-        return _render_terms(sorted(self.coeffs.items()),
-                             lambda e: _var_power("L", e))
-
-    def __repr__(self):
-        return "VirtualClassPoly<%s>" % self.render()
+    __slots__ = ()
+    _var = "L"
 
 
 def virtual_class(data):

@@ -16,7 +16,13 @@ class ZeroPolynomial(AlexkitError):
 
 
 class NotAUnit(AlexkitError):
-    """Evaluation point t = 0 is not invertible."""
+    """An element that must be invertible is not.
+
+    Raised for the evaluation point t = 0; for a division by anything but
+    a unit +-t^k at generic t; for a negative power, or the
+    `term_inverse`, of a polynomial that is not +-t^k (a +-monomial in
+    several variables); and for a Fox weight that is not a +-monomial.
+    """
 
 
 class UnknownGenerator(AlexkitError):

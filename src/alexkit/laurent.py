@@ -3,22 +3,32 @@
 Univariate polynomials live in Z[t, t^-1], multivariate ones in
 Z[t1^{+-1}, ..., ts^{+-1}], and every coefficient is an `int`; the
 constructors reject a non-integral one.  The units of these rings are
-+-t^k (+-monomials), the only polynomials with an inverse.
-Division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1): `pseudo_divmod`
-scales the dividend by the least positive integer that keeps the quotient
-integral, and gcds follow the primitive remainder sequence (Brown,
-J. ACM 18, 1971).  A product by a single term c*t^k, and an exact
-division by such a term, is a shift of the other operand's exponents
-with its coefficients scaled by c.  The zero polynomial is the empty
-coefficient map.
++-t^k (+-monomials), the only polynomials with an inverse.  Both rings
+store a polynomial as {exponent: coefficient}, an int exponent in one
+variable and a tuple of ints in several, with the zero polynomial the
+empty map.  One private core holds what does not look inside an
+exponent: the zero and unit tests, equality, hashing, negation, one-pass
+addition and subtraction, and rendering.  Each ring keeps its own
+product, where a product by a single term c*t^k is a shift of the other
+operand's exponents with its coefficients scaled by c.
+
+Univariate division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1):
+`pseudo_divmod` scales the dividend by the least positive integer that
+keeps the quotient integral, an exact division by a single term is a
+shift, and gcds follow the primitive remainder sequence (Brown, J. ACM 18,
+1971).  Multivariate exact division is long division by lex-leading
+terms (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 2.3)
+on the operands shifted to minimum exponent 0 in every variable.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from operator import add
+from operator import add, sub
 
 from .errors import NotAUnit, ValidationError, ZeroPolynomial
+
+_new_object = object.__new__
 
 
 def _int(c):
@@ -33,19 +43,134 @@ def _int(c):
     raise ValidationError("non-integral coefficient %r" % (c,))
 
 
-class LaurentPoly:
-    """Laurent polynomial in t, stored as {exponent: int coefficient}."""
+def _int_terms(coeffs, exponent):
+    """The nonzero terms of a coefficient map, with int coefficients and
+    each exponent passed through `exponent`."""
+    data = {}
+    if coeffs:
+        for e, c in coeffs.items():
+            c = _int(c)
+            e = exponent(e)
+            if c:
+                data[e] = c
+    return data
+
+
+def _var_power(name, e):
+    if e == 0:
+        return ""
+    if e == 1:
+        return name
+    return "%s^%d" % (name, e)
+
+
+class _LaurentCore:
+    """A polynomial in one variable named `_var`, or in `nvars` of them,
+    stored as {exponent: nonzero int}: the operations that both Laurent
+    rings share.  Two polynomials combine only within one class and one
+    variable count."""
 
     __slots__ = ("coeffs",)
+    nvars = 1
+    _var = "t"
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = _int(c)
-                if c:
-                    data[int(e)] = c
-        self.coeffs = data
+        self.coeffs = _int_terms(coeffs, int)
+
+    def _new(self, coeffs):
+        """A polynomial of this one's ring holding the term map `coeffs`
+        as it is."""
+        out = _new_object(self.__class__)
+        out.coeffs = coeffs
+        return out
+
+    def _scalar(self, c):
+        """The integer c in this polynomial's ring."""
+        return self._new({0: c} if c else {})
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def is_unit(self):
+        """True iff p is +-t^k, a +-monomial: a unit of the Laurent ring."""
+        return len(self.coeffs) == 1 and abs(*self.coeffs.values()) == 1
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.nvars == other.nvars and self.coeffs == other.coeffs
+        if isinstance(other, int):
+            return self.coeffs == self._scalar(other).coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.coeffs.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        data = dict(self.coeffs)
+        get = data.get
+        for e, c in other.coeffs.items():
+            s = get(e, 0) + c
+            if s:
+                data[e] = s
+            else:
+                del data[e]
+        return self._new(data)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        data = dict(self.coeffs)
+        get = data.get
+        for e, c in other.coeffs.items():
+            s = get(e, 0) - c
+            if s:
+                data[e] = s
+            else:
+                del data[e]
+        return self._new(data)
+
+    def _varpart(self, e):
+        return _var_power(self._var, e)
+
+    def render(self):
+        """Terms in increasing exponent order, e.g. `1 - 2 t + t^2`."""
+        pieces = []
+        for e, c in sorted(self.coeffs.items()):
+            v = self._varpart(e)
+            mag = abs(c)
+            if not v:
+                body = str(mag)
+            elif mag == 1:
+                body = v
+            else:
+                body = "%s %s" % (mag, v)
+            if not pieces:
+                pieces.append(body if c > 0 else "-" + body)
+            else:
+                pieces.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(pieces) or "0"
+
+    def __repr__(self):
+        return "%s<%s>" % (type(self).__name__, self.render())
+
+
+class LaurentPoly(_LaurentCore):
+    """Laurent polynomial in t, stored as {exponent: int coefficient}."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls):
@@ -68,13 +193,6 @@ class LaurentPoly:
         return cls({exp: coeff})
 
     @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    @property
     def min_exp(self):
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no exponents")
@@ -90,68 +208,17 @@ class LaurentPoly:
     def spread(self):
         return self.max_exp - self.min_exp
 
-    def is_unit(self):
-        """True iff p = +-t^k (a unit of Z[t, t^-1])."""
-        return len(self.coeffs) == 1 and abs(*self.coeffs.values()) == 1
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == LaurentPoly.constant(other).coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        data = dict(self.coeffs)
-        get = data.get
-        for e, c in other.coeffs.items():
-            s = get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                del data[e]
-        out = LaurentPoly()
-        out.coeffs = data
-        return out
-
-    def __neg__(self):
-        out = LaurentPoly()
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        data = dict(self.coeffs)
-        get = data.get
-        for e, c in other.coeffs.items():
-            s = get(e, 0) - c
-            if s:
-                data[e] = s
-            else:
-                del data[e]
-        out = LaurentPoly()
-        out.coeffs = data
-        return out
-
     def __mul__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.constant(other)
+            other = self._scalar(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = LaurentPoly()
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
             (k, c), = b.items()
-            out.coeffs = {e + k: x * c for e, x in a.items()}
-            return out
+            return self._new({e + k: x * c for e, x in a.items()})
         data = {}
         get = data.get
         terms = tuple(b.items())
@@ -163,8 +230,7 @@ class LaurentPoly:
                     data[e] = s
                 else:
                     del data[e]
-        out.coeffs = data
-        return out
+        return self._new(data)
 
     __rmul__ = __mul__
 
@@ -174,7 +240,7 @@ class LaurentPoly:
                 raise NotAUnit("negative power of %s, not +-t^k"
                                % self.render())
             (e, c), = self.coeffs.items()
-            return LaurentPoly({e * n: c ** -n})
+            return self._new({e * n: c ** -n})
         out = LaurentPoly.one()
         base = self
         while n:
@@ -186,14 +252,11 @@ class LaurentPoly:
 
     def shifted(self, k):
         """Multiply by t^k."""
-        out = LaurentPoly()
-        out.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return out
+        return self._new({e + k: c for e, c in self.coeffs.items()})
 
     def derivative(self):
-        out = LaurentPoly()
-        out.coeffs = {e - 1: c * e for e, c in self.coeffs.items() if e != 0}
-        return out
+        return self._new({e - 1: c * e for e, c in self.coeffs.items()
+                          if e != 0})
 
     def evaluate(self, x):
         """Evaluate at x != 0; exact for Fraction/int x, float for complex x."""
@@ -205,42 +268,6 @@ class LaurentPoly:
                        0j)
         x = Fraction(x)
         return sum((c * x ** e for e, c in self.coeffs.items()), Fraction(0))
-
-    def render(self):
-        return _render_terms(sorted(self.coeffs.items()),
-                             lambda e: _var_power("t", e))
-
-    def __repr__(self):
-        return "LaurentPoly<%s>" % self.render()
-
-
-def _var_power(name, e):
-    if e == 0:
-        return ""
-    if e == 1:
-        return name
-    return "%s^%d" % (name, e)
-
-
-def _render_terms(terms, varpart):
-    """Shared text rendering: terms in increasing exponent order."""
-    if not terms:
-        return "0"
-    pieces = []
-    for e, c in terms:
-        v = varpart(e)
-        mag = abs(c)
-        if not v:
-            body = str(mag)
-        elif mag == 1:
-            body = v
-        else:
-            body = "%s %s" % (mag, v)
-        if not pieces:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
-            pieces.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(pieces)
 
 
 def normalize_unit(p):
@@ -261,10 +288,7 @@ def canonical_poly(p):
     the sign and shift."""
     if p.is_zero:
         return LaurentPoly.zero()
-    q = normalize_unit(p)
-    out = LaurentPoly()
-    out.coeffs = _primitive_coeffs(q.coeffs)
-    return out
+    return p._new(_primitive_coeffs(normalize_unit(p).coeffs))
 
 
 def _primitive_coeffs(coeffs):
@@ -307,11 +331,8 @@ def pseudo_divmod(a, b):
                 rem[ne] = nc
             else:
                 rem.pop(ne, None)
-    quo = LaurentPoly()
-    quo.coeffs = {e + sa - sb: c for e, c in q.items()}
-    r = LaurentPoly()
-    r.coeffs = {e + sa: c for e, c in rem.items()}
-    return s, quo, r
+    return (s, a._new({e + sa - sb: c for e, c in q.items()}),
+            a._new({e + sa: c for e, c in rem.items()}))
 
 
 def exact_div(a, b):
@@ -319,9 +340,7 @@ def exact_div(a, b):
     if len(b.coeffs) == 1:
         (k, c), = b.coeffs.items()
         if all(x % c == 0 for x in a.coeffs.values()):
-            q = LaurentPoly()
-            q.coeffs = {e - k: x // c for e, x in a.coeffs.items()}
-            return q
+            return a._new({e - k: x // c for e, x in a.coeffs.items()})
     s, q, r = pseudo_divmod(a, b)
     if s != 1 or r:
         raise ValueError("inexact Laurent division: %s by %s"
@@ -355,28 +374,33 @@ def distinct_root_count(p):
     return sf.max_exp - sf.min_exp
 
 
-class MultiLaurentPoly:
+class MultiLaurentPoly(_LaurentCore):
     """Laurent polynomial in t1..ts, stored as {exponent tuple: int
     coefficient}."""
 
-    __slots__ = ("coeffs", "nvars")
+    __slots__ = ("nvars",)
 
     def __init__(self, coeffs=None, nvars=1):
-        data = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                c = _int(c)
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nvars:
-                    raise ValueError("exponent vector of wrong length")
-                if c:
-                    data[exps] = c
-        self.coeffs = data
+        def exponent(exps):
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != nvars:
+                raise ValueError("exponent vector of wrong length")
+            return exps
+        self.coeffs = _int_terms(coeffs, exponent)
         self.nvars = nvars
+
+    def _new(self, coeffs):
+        out = _new_object(MultiLaurentPoly)
+        out.coeffs = coeffs
+        out.nvars = self.nvars
+        return out
+
+    def _scalar(self, c):
+        return self._new({(0,) * self.nvars: c} if c else {})
 
     @classmethod
     def zero(cls, nvars):
-        out = cls.__new__(cls)
+        out = _new_object(cls)
         out.coeffs = {}
         out.nvars = nvars
         return out
@@ -408,13 +432,10 @@ class MultiLaurentPoly:
     def to_laurent(self):
         if self.nvars != 1:
             raise ValueError("not univariate")
-        out = LaurentPoly()
-        out.coeffs = {e: c for (e,), c in self.coeffs.items()}
-        return out
+        return LaurentPoly({e: c for (e,), c in self.coeffs.items()})
 
     def set_all_equal(self):
         """Substitute every variable by the single variable t."""
-        out = LaurentPoly()
         data = {}
         for exps, c in self.coeffs.items():
             e = sum(exps)
@@ -423,91 +444,29 @@ class MultiLaurentPoly:
                 data[e] = s
             else:
                 data.pop(e, None)
-        out.coeffs = data
-        return out
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def is_unit(self):
-        """True iff p is a +-monomial (a unit of the Laurent ring)."""
-        return len(self.coeffs) == 1 and abs(*self.coeffs.values()) == 1
+        return LaurentPoly(data)
 
     def term_inverse(self):
         """Inverse of a +-monomial."""
         if not self.is_unit():
             raise NotAUnit("%s is not a +-monomial" % self.render())
         (exps, c), = self.coeffs.items()
-        return MultiLaurentPoly({tuple(-e for e in exps): c}, self.nvars)
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-
-    def __eq__(self, other):
-        if isinstance(other, MultiLaurentPoly):
-            return self.nvars == other.nvars and self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == MultiLaurentPoly.constant(
-                other, self.nvars).coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, MultiLaurentPoly):
-            return NotImplemented
-        self._check(other)
-        data = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            s = data.get(exps, 0) + c
-            if s:
-                data[exps] = s
-            else:
-                data.pop(exps, None)
-        out = MultiLaurentPoly.zero(self.nvars)
-        out.coeffs = data
-        return out
-
-    def __neg__(self):
-        out = MultiLaurentPoly.zero(self.nvars)
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiLaurentPoly):
-            return NotImplemented
-        self._check(other)
-        data = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            s = data.get(exps, 0) - c
-            if s:
-                data[exps] = s
-            else:
-                data.pop(exps, None)
-        out = MultiLaurentPoly.zero(self.nvars)
-        out.coeffs = data
-        return out
+        return self._new({tuple(-e for e in exps): c})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = MultiLaurentPoly.constant(other, self.nvars)
+            other = self._scalar(other)
         if not isinstance(other, MultiLaurentPoly):
             return NotImplemented
-        self._check(other)
-        out = MultiLaurentPoly.zero(self.nvars)
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
             (k, c), = b.items()
-            out.coeffs = {tuple(map(add, e, k)): x * c for e, x in a.items()}
-            return out
+            return self._new({tuple(map(add, e, k)): x * c
+                              for e, x in a.items()})
         data = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -517,8 +476,7 @@ class MultiLaurentPoly:
                     data[e] = s
                 else:
                     data.pop(e, None)
-        out.coeffs = data
-        return out
+        return self._new(data)
 
     __rmul__ = __mul__
 
@@ -529,20 +487,12 @@ class MultiLaurentPoly:
                      for i in range(self.nvars))
 
     def shifted(self, shifts):
-        out = MultiLaurentPoly.zero(self.nvars)
-        out.coeffs = {tuple(x + s for x, s in zip(e, shifts)): c
-                      for e, c in self.coeffs.items()}
-        return out
+        return self._new({tuple(map(add, e, shifts)): c
+                          for e, c in self.coeffs.items()})
 
-    def render(self):
-        def varpart(exps):
-            parts = [_var_power("t%d" % (i + 1), e)
-                     for i, e in enumerate(exps) if e != 0]
-            return " ".join(parts)
-        return _render_terms(sorted(self.coeffs.items()), varpart)
-
-    def __repr__(self):
-        return "MultiLaurentPoly<%s>" % self.render()
+    def _varpart(self, exps):
+        return " ".join(_var_power("t%d" % (i + 1), e)
+                        for i, e in enumerate(exps) if e != 0)
 
 
 def mv_normalize(p):
@@ -555,9 +505,7 @@ def mv_normalize(p):
     coeffs = _primitive_coeffs(q.coeffs)
     if coeffs[max(coeffs)] < 0:
         coeffs = {e: -c for e, c in coeffs.items()}
-    out = MultiLaurentPoly.zero(p.nvars)
-    out.coeffs = coeffs
-    return out
+    return p._new(coeffs)
 
 
 def _mv_split_last(p):
@@ -579,48 +527,46 @@ def _mv_join_last(parts, nvars):
 
 
 def mv_exact_div(p, d):
-    """Exact division in the multivariate Laurent ring (raises if inexact).
+    """p / d in the multivariate Laurent ring; ValueError unless d
+    divides p.
 
-    Both operands are first shifted so that every variable's minimum
-    exponent is 0.  An exact quotient of two such polynomials is a
-    polynomial, since the lowest power of each variable is additive under
-    multiplication, so ordinary long division finds it; the quotient is
-    then shifted back."""
+    Both operands are shifted so that every variable's minimum exponent
+    is 0.  The lowest power of each variable adds under multiplication,
+    so an exact quotient of two such polynomials is again one, and long
+    division by lex-leading terms finds it: each step divides the
+    remainder's leading term by d's and subtracts that quotient term
+    times d.  A coefficient that does not divide, or a quotient exponent
+    below 0, shows that the division is inexact.  Every step removes the
+    remainder's leading term and adds only smaller ones, and lex order
+    well-orders N^n, so the loop ends.  The quotient is then shifted
+    back."""
     if p.is_zero:
         return MultiLaurentPoly.zero(p.nvars)
     if d.is_zero:
         raise ZeroDivisionError("multivariate division by zero")
+    if p.nvars != d.nvars:
+        raise ValueError("variable count mismatch")
     pmin, dmin = p.min_exps(), d.min_exps()
-    q = _mv_poly_div(p.shifted(tuple(-e for e in pmin)),
-                     d.shifted(tuple(-e for e in dmin)))
-    return q.shifted(tuple(a - b for a, b in zip(pmin, dmin)))
-
-
-def _mv_poly_div(p, d):
-    """Exact quotient of polynomials (no negative exponents) by long
-    division in the last variable."""
-    if p.nvars == 1:
-        return MultiLaurentPoly.from_laurent(
-            exact_div(p.to_laurent(), d.to_laurent()))
-    num = _mv_split_last(p)
-    den = _mv_split_last(d)
-    dd = max(den)
-    lead = den[dd]
+    rem = p.shifted(tuple(-e for e in pmin)).coeffs
+    rest = d.shifted(tuple(-e for e in dmin)).coeffs
+    lead = max(rest)
+    lead_coeff = rest.pop(lead)
     quo = {}
-    while num:
-        dp = max(num)
-        if dp < dd:
+    while rem:
+        top = max(rem)
+        c, r = divmod(rem.pop(top), lead_coeff)
+        e = tuple(map(sub, top, lead))
+        if r or min(e) < 0:
             raise ValueError("inexact multivariate division")
-        qc = _mv_poly_div(num[dp], lead)
-        quo[dp - dd] = qc
-        for e, c in den.items():
-            ne = dp - dd + e
-            cur = num.get(ne, MultiLaurentPoly.zero(p.nvars - 1)) - qc * c
-            if cur.is_zero:
-                num.pop(ne, None)
+        quo[e] = c
+        for f, x in rest.items():
+            g = tuple(map(add, e, f))
+            s = rem.get(g, 0) - c * x
+            if s:
+                rem[g] = s
             else:
-                num[ne] = cur
-    return _mv_join_last(quo, p.nvars)
+                del rem[g]
+    return p._new(quo).shifted(tuple(map(sub, pmin, dmin)))
 
 
 def _mv_content(parts, nvars_inner):
@@ -632,9 +578,8 @@ def _mv_content(parts, nvars_inner):
 
 
 def _mv_scale_div(parts, content):
-    """Divide polynomial parts by their normalized content; the quotients
-    are polynomials, so no shift is needed."""
-    return {e: _mv_poly_div(c, content) for e, c in parts.items()}
+    """Divide polynomial parts by their normalized content."""
+    return {e: mv_exact_div(c, content) for e, c in parts.items()}
 
 
 def _mv_pseudo_rem(a, b, nvars):

@@ -106,9 +106,18 @@ def _tokenize(text):
     return tokens
 
 
+# Deepest parenthesis nesting, and deepest tree of compositions and
+# tensors, that parse_tangle accepts: the parser takes three stack frames
+# per parenthesis and `render` two per tree level, so evaluate_tangle,
+# tangle_system and render stay well inside Python's default recursion
+# limit of 1000.
+MAX_DEPTH = 200
+
+
 def parse_tangle(text):
     """Grammar: expr := term (";" term)*; term := factor ("#" factor)*;
-    factor := "(" expr ")" | generator.  ";" composes bottom-to-top."""
+    factor := "(" expr ")" | generator.  ";" composes bottom-to-top.
+    Nesting deeper than MAX_DEPTH raises ParseError."""
     tokens = _tokenize(text)
     index = [0]
 
@@ -120,11 +129,19 @@ def parse_tangle(text):
         index[0] += 1
         return tok
 
-    def parse_factor():
+    def within(depth, pos):
+        if depth > MAX_DEPTH:
+            raise ParseError("tangle nested deeper than %d" % MAX_DEPTH,
+                             position=pos)
+        return depth
+
+    # each parse_* returns (expression, depth of its tree)
+    def parse_factor(parens):
         tok, pos = peek()
         if tok == "(":
+            within(parens + 1, pos)
             advance()
-            inner = parse_expr()
+            inner = parse_expr(parens + 1)
             tok, pos = peek()
             if tok != ")":
                 raise ParseError("expected ')'", position=pos)
@@ -132,24 +149,28 @@ def parse_tangle(text):
             return inner
         if tok in GENERATOR_TYPES:
             advance()
-            return Gen(tok)
+            return Gen(tok), 0
         raise ParseError("expected a generator or '('", position=pos)
 
-    def parse_term():
-        out = parse_factor()
+    def parse_term(parens):
+        out, depth = parse_factor(parens)
         while peek()[0] == "#":
-            advance()
-            out = Tensor(out, parse_factor())
-        return out
+            _, pos = advance()
+            right, right_depth = parse_factor(parens)
+            out = Tensor(out, right)
+            depth = within(max(depth, right_depth) + 1, pos)
+        return out, depth
 
-    def parse_expr():
-        out = parse_term()
+    def parse_expr(parens):
+        out, depth = parse_term(parens)
         while peek()[0] == ";":
             _, pos = advance()
-            out = Compose(out, parse_term(), position=pos)
-        return out
+            then, then_depth = parse_term(parens)
+            out = Compose(out, then, position=pos)
+            depth = within(max(depth, then_depth) + 1, pos)
+        return out, depth
 
-    result = parse_expr()
+    result, _ = parse_expr(0)
     tok, pos = peek()
     if tok is not None:
         raise ParseError("unexpected %r after expression" % tok, position=pos)

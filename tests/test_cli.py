@@ -202,6 +202,15 @@ def test_exit_codes(capsys):
     assert (code, err) == (2, "error: t-spec '1e400i' is not finite\n")
     code, _, err = _run(capsys, ["alexander", "--file", "/nonexistent"])
     assert code == 2
+    # DSL nested past tangles.MAX_DEPTH: a ParseError, not RecursionError
+    for text in _TOO_DEEP:
+        code, out, err = _run(capsys, ["span", "--format", "dsl", text])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tangle nested deeper than")
+        assert err.count("\n") == 1
+
+
+_TOO_DEEP = ("(" * 1200 + "xp" + ")" * 1200, " ; ".join(["id+"] * 3000))
 
 
 _EXIT_2 = ("ParseError", "ValidationError", "AmbiguousOrientation",
@@ -229,6 +238,15 @@ def test_batch_file(tmp_path, capsys):
     assert lines[1]["error_type"] == "ParseError"
     assert lines[1]["exit_code"] == 2
     assert lines[2]["delta"]["pretty"] == "1"
+    # a line nested too deeply is reported and the batch goes on
+    path.write_text("\n".join(_TOO_DEEP + ("xp ; xm",)) + "\n")
+    code, out, _ = _run(capsys, ["span", "--format", "dsl", "--file",
+                                 str(path)])
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [line.get("error_type") for line in lines] == [
+        "ParseError", "ParseError", None]
+    assert lines[2]["span"] == {"src": 2, "mid": 2, "tgt": 2}
 
 
 def test_route_disagreement(tmp_path, capsys, monkeypatch):

@@ -243,9 +243,11 @@ def test_gcd_multivariate_matches_sympy():
 
 
 def test_mv_exact_div_laurent_quotients():
-    """(p*q)/q == p in the Laurent ring, with negative exponents in every
-    variable of p and q; an inexact division still raises."""
-    for nvars in (2, 3):
+    """(p*q)/q == p in the Laurent ring, in 1, 2 and 3 variables, with
+    negative exponents in every variable of p and q; an inexact division
+    raises ValueError, also where the quotient would need a negative
+    exponent, and so does a variable count mismatch."""
+    for nvars in (1, 2, 3):
         t = [MultiLaurentPoly.variable(i, nvars) for i in range(1, nvars + 1)]
         one = MultiLaurentPoly.one(nvars)
         for x in t:
@@ -253,7 +255,7 @@ def test_mv_exact_div_laurent_quotients():
             assert mv_exact_div(one, x) == x.term_inverse()
     rng = random.Random(17)
     for _ in range(20):
-        nvars = rng.choice((2, 3))
+        nvars = rng.choice((1, 2, 3))
         p = _random_mv(rng, nvars, min_exp=-2) * MultiLaurentPoly.monomial(
             (-1,) * nvars)
         q = _random_mv(rng, nvars, min_exp=-2) * MultiLaurentPoly.monomial(
@@ -269,8 +271,14 @@ def test_mv_exact_div_laurent_quotients():
             with pytest.raises(ValueError):
                 mv_exact_div(p, two_t1)
     t1, t2 = (MultiLaurentPoly.variable(i, 2) for i in (1, 2))
+    one = MultiLaurentPoly.one(2)
+    for p, d in ((t1 + t2, t1 - t2), (t2, t1 + t2), (one, one + t1),
+                 (t1 * t2 * 3, t1 * 2), (one, MultiLaurentPoly.one(3))):
+        with pytest.raises(ValueError):
+            mv_exact_div(p, d)
+    x, one = MultiLaurentPoly.variable(1, 1), MultiLaurentPoly.one(1)
     with pytest.raises(ValueError):
-        mv_exact_div(t1 + t2, t1 - t2)
+        mv_exact_div(x * x + one, x + one)
 
 
 def _random_mv(rng, nvars=2, min_exp=0):
@@ -351,7 +359,9 @@ def test_non_integral_coefficients_and_non_units_raise_typed_errors():
 
 def test_multivariate_operators_reject_other_operands():
     """+, - and * of a MultiLaurentPoly with anything but one (or an int
-    factor) raise TypeError; a variable count mismatch, ValueError."""
+    factor), a LaurentPoly among them, raise TypeError; a variable count
+    mismatch, ValueError, and polynomials in different variable counts
+    are unequal.  Equal values hash equal."""
     one = MultiLaurentPoly.one(2)
     for other in (1, 1.5, Fraction(1, 2), LaurentPoly.one()):
         for op in (operator.add, operator.sub):
@@ -368,3 +378,16 @@ def test_multivariate_operators_reject_other_operands():
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(ValueError):
             op(one, MultiLaurentPoly.one(3))
+        with pytest.raises(TypeError):
+            op(LaurentPoly.one(), MultiLaurentPoly.one(1))
+        with pytest.raises(TypeError):
+            op(MultiLaurentPoly.one(1), LaurentPoly.one())
+    assert one != MultiLaurentPoly.one(3)
+    assert MultiLaurentPoly.zero(2) != MultiLaurentPoly.zero(3)
+    assert LaurentPoly.one() != MultiLaurentPoly.one(1)
+    t, u = LaurentPoly.t(), LaurentPoly.one()
+    for a, b in ((t * t - u, (t - u) * (t + u)),
+                 (one * 3, MultiLaurentPoly.constant(3, 2)),
+                 (MultiLaurentPoly.variable(1, 1) - MultiLaurentPoly.one(1),
+                  MultiLaurentPoly.from_laurent(t - u))):
+        assert a == b and hash(a) == hash(b)

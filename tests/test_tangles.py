@@ -17,8 +17,9 @@ from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
 from alexkit.laurent import LaurentPoly, canonical_poly, normalize_unit
 from alexkit.snf import smith_normal_form
 from alexkit.tangles import (Compose, Gen, Tensor, braid_closure_expr,
-                             braid_expr, closed_tangle_delta, compose_spans,
-                             evaluate_tangle, generator_span, parse_tangle,
+                             MAX_DEPTH, braid_expr, closed_tangle_delta,
+                             compose_spans, evaluate_tangle, generator_span,
+                             parse_tangle,
                              spans_equivalent, tangle_linear_system,
                              tangle_system, tensor_spans)
 from util import random_tangle_expr
@@ -47,6 +48,32 @@ def test_parse_errors():
         parse_tangle("xp ; id+")
     with pytest.raises(BoundaryMismatch):
         parse_tangle("ev+- ; ev-+")
+
+
+def _nested(depth):
+    """Parentheses `depth` deep around `xp`; a `;` chain and a `#` chain
+    whose trees are `depth` deep; and `depth` parentheses each holding
+    one composition, a tree `depth` deep as well."""
+    return ["(" * depth + "xp" + ")" * depth,
+            " ; ".join(["id+"] * (depth + 1)),
+            " # ".join(["id+"] * (depth + 1)),
+            "(id+ ; " * depth + "id+" + ")" * depth]
+
+
+def test_parse_depth_limit():
+    """Nesting up to MAX_DEPTH parses, and every recursive walk of the
+    tree then runs; one level more raises ParseError instead of
+    RecursionError."""
+    field = GenericTField()
+    for text in _nested(MAX_DEPTH):
+        expr = parse_tangle(text)
+        assert parse_tangle(expr.render()).render() == expr.render()
+        span = evaluate_tangle(expr, field)
+        assert span.src_dim == len(expr.source)
+        assert tangle_system(expr).nvars >= 1
+    for text in _nested(MAX_DEPTH + 1):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_tangle(text)
 
 
 def test_generator_span_dims():
