@@ -268,15 +268,11 @@ def _bind_t_values(argv):
     """Rewrite `--t -1/3` as `--t=-1/3`, so a negative t-spec is read as
     the value of --t."""
     out = []
-    i = 0
-    while i < len(argv):
-        if (argv[i] == "--t" and i + 1 < len(argv)
-                and _NEGATIVE_T_RE.match(argv[i + 1])):
-            out.append("--t=" + argv[i + 1])
-            i += 2
+    for arg in argv:
+        if out and out[-1] == "--t" and _NEGATIVE_T_RE.match(arg):
+            out[-1] = "--t=" + arg
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(arg)
     return out
 
 

@@ -16,7 +16,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotAUnit
+from .errors import DimensionMismatch, NotAUnit, ValidationError
 from .laurent import LaurentPoly, exact_div, gcd_laurent
 
 
@@ -162,11 +162,20 @@ def mat_mul(field, a, b):
     return Mat(out, b.ncols)
 
 
-def _svd(m, compute_uv):
-    """numpy's SVD of m, for complex t, the only place numpy is used."""
+def _svd(field, m, compute_uv):
+    """numpy's SVD of m, for complex t, the only place numpy is used.  A t
+    that takes the entries or singular values past the floats (inf, nan)
+    raises ValidationError."""
     import numpy as np
-    return np.linalg.svd(np.array(m.rows, dtype=complex).reshape(
-        m.nrows, m.ncols), compute_uv=compute_uv)
+    try:
+        out = np.linalg.svd(np.array(m.rows, dtype=complex).reshape(
+            m.nrows, m.ncols), compute_uv=compute_uv)
+    except np.linalg.LinAlgError:  # inf or nan entries
+        out = None
+    if out is not None and np.isfinite(out[1] if compute_uv else out).all():
+        return out
+    raise ValidationError("complex %s is out of floating-point range"
+                          % field.describe())
 
 
 def _svd_rank(field, sv):
@@ -239,7 +248,7 @@ def mat_rank(field, m):
         return len(_fraction_free(field, m, full=False)[1])
     if m.nrows == 0 or m.ncols == 0:
         return 0
-    return _svd_rank(field, _svd(m, False))
+    return _svd_rank(field, _svd(field, m, False))
 
 
 def kernel_basis(field, m):
@@ -255,7 +264,7 @@ def kernel_basis(field, m):
     if not field.exact:
         if m.nrows == 0:
             return mat_identity(field, n)
-        _, sv, vh = _svd(m, True)
+        _, sv, vh = _svd(field, m, True)
         rank = _svd_rank(field, sv)
         null = vh[rank:].conj().T  # n x (n - rank)
         return Mat([[complex(x) for x in row] for row in null], n - rank)

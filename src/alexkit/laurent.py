@@ -107,7 +107,9 @@ class _LaurentCore:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        """A constant hashes as the int it equals."""
+        c = sum(self.coeffs.values())
+        return hash(c) if self == c else hash(frozenset(self.coeffs.items()))
 
     def __neg__(self):
         return self._new({e: -c for e, c in self.coeffs.items()})

@@ -1,8 +1,15 @@
 """Tangle DSL (objects are +- sign sequences) and its span-valued
 evaluation: generator spans, pullback composition, tensor, a global
 linear-system route over the same diagrams, and span equivalence.
+
+Composition and tensor are associative, so expressions are flat: a
+`Compose` or `Tensor` holds one tuple of `factors`, a `;` or `#` chain of
+any length is one node, and only parentheses nest, at most MAX_DEPTH deep.
 """
 from __future__ import annotations
+
+from functools import reduce
+from itertools import repeat
 
 from .codes import label_classes
 from .errors import BoundaryMismatch, DimensionMismatch, ParseError
@@ -40,42 +47,58 @@ class Gen(TangleExpr):
     def __init__(self, name):
         if name not in GENERATOR_TYPES:
             raise ParseError("unknown generator %r" % name)
-        src, tgt = GENERATOR_TYPES[name]
-        super().__init__(src, tgt)
+        super().__init__(*GENERATOR_TYPES[name])
         self.name = name
 
     def render(self):
         return self.name
 
 
-class Compose(TangleExpr):
-    __slots__ = ("first", "then")
+class _Chain(TangleExpr):
+    """A flat chain of `factors`, joined by `_joint` in the DSL, where only
+    a composition inside a tensor needs parentheses.  A factor of the same
+    kind is spliced in, so (a ; b) ; c is one node of three factors."""
 
-    def __init__(self, first, then, position="?"):
-        if first.target != then.source:
-            raise BoundaryMismatch(position, "".join(first.target),
-                                   "".join(then.source))
-        super().__init__(first.source, then.target)
-        self.first = first
-        self.then = then
+    __slots__ = ("factors",)
 
-    def render(self):
-        return "%s ; %s" % (self.first.render(), self.then.render())
-
-
-class Tensor(TangleExpr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        super().__init__(left.source + right.source,
-                         left.target + right.target)
-        self.left = left
-        self.right = right
+    def __init__(self, factors, source, target):
+        super().__init__(source, target)
+        self.factors = tuple(g for f in factors for g in
+                             (f.factors if type(f) is type(self) else (f,)))
 
     def render(self):
-        def wrap(e):
-            return "(%s)" % e.render() if isinstance(e, Compose) else e.render()
-        return "%s # %s" % (wrap(self.left), wrap(self.right))
+        parts = []  # a loop, not a comprehension: one stack frame a level
+        for f in self.factors:
+            parts.append("(%s)" % f.render() if isinstance(f, Compose)
+                         else f.render())
+        return self._joint.join(parts)
+
+
+class Compose(_Chain):
+    """Factors stacked bottom to top; `positions` holds the offset of the
+    ';' at each seam, for BoundaryMismatch."""
+
+    __slots__ = ()
+    _joint = " ; "
+
+    def __init__(self, *factors, positions=None):
+        for i, (below, above) in enumerate(zip(factors, factors[1:])):
+            if below.target != above.source:
+                raise BoundaryMismatch(positions[i] if positions else "?",
+                                       "".join(below.target),
+                                       "".join(above.source))
+        super().__init__(factors, factors[0].source, factors[-1].target)
+
+
+class Tensor(_Chain):
+    """Factors side by side, left to right."""
+
+    __slots__ = ()
+    _joint = " # "
+
+    def __init__(self, *factors):
+        super().__init__(factors, [s for f in factors for s in f.source],
+                         [s for f in factors for s in f.target])
 
 
 _GEN_NAMES = sorted(GENERATOR_TYPES, key=len, reverse=True)
@@ -106,18 +129,17 @@ def _tokenize(text):
     return tokens
 
 
-# Deepest parenthesis nesting, and deepest tree of compositions and
-# tensors, that parse_tangle accepts: the parser takes three stack frames
-# per parenthesis and `render` two per tree level, so evaluate_tangle,
-# tangle_system and render stay well inside Python's default recursion
-# limit of 1000.
+# Deepest parenthesis nesting that parse_tangle accepts.  A parenthesis adds
+# at most two tree levels, a composition and a tensor; the parser takes three
+# frames a parenthesis and each walk, by map or a loop (a comprehension adds
+# a frame), at most two a level: well inside the recursion limit of 1000.
 MAX_DEPTH = 200
 
 
 def parse_tangle(text):
     """Grammar: expr := term (";" term)*; term := factor ("#" factor)*;
     factor := "(" expr ")" | generator.  ";" composes bottom-to-top.
-    Nesting deeper than MAX_DEPTH raises ParseError."""
+    Parentheses nested deeper than MAX_DEPTH raise ParseError."""
     tokens = _tokenize(text)
     index = [0]
 
@@ -129,17 +151,12 @@ def parse_tangle(text):
         index[0] += 1
         return tok
 
-    def within(depth, pos):
-        if depth > MAX_DEPTH:
-            raise ParseError("tangle nested deeper than %d" % MAX_DEPTH,
-                             position=pos)
-        return depth
-
-    # each parse_* returns (expression, depth of its tree)
     def parse_factor(parens):
         tok, pos = peek()
         if tok == "(":
-            within(parens + 1, pos)
+            if parens == MAX_DEPTH:
+                raise ParseError("tangle nested deeper than %d" % MAX_DEPTH,
+                                 position=pos)
             advance()
             inner = parse_expr(parens + 1)
             tok, pos = peek()
@@ -149,28 +166,26 @@ def parse_tangle(text):
             return inner
         if tok in GENERATOR_TYPES:
             advance()
-            return Gen(tok), 0
+            return Gen(tok)
         raise ParseError("expected a generator or '('", position=pos)
 
     def parse_term(parens):
-        out, depth = parse_factor(parens)
+        factors = [parse_factor(parens)]
         while peek()[0] == "#":
-            _, pos = advance()
-            right, right_depth = parse_factor(parens)
-            out = Tensor(out, right)
-            depth = within(max(depth, right_depth) + 1, pos)
-        return out, depth
+            advance()
+            factors.append(parse_factor(parens))
+        return factors[0] if len(factors) == 1 else Tensor(*factors)
 
     def parse_expr(parens):
-        out, depth = parse_term(parens)
+        terms = [parse_term(parens)]
+        positions = []
         while peek()[0] == ";":
-            _, pos = advance()
-            then, then_depth = parse_term(parens)
-            out = Compose(out, then, position=pos)
-            depth = within(max(depth, then_depth) + 1, pos)
-        return out, depth
+            positions.append(advance()[1])
+            terms.append(parse_term(parens))
+        return (terms[0] if len(terms) == 1
+                else Compose(*terms, positions=positions))
 
-    result, _ = parse_expr(0)
+    result = parse_expr(0)
     tok, pos = peek()
     if tok is not None:
         raise ParseError("unexpected %r after expression" % tok, position=pos)
@@ -206,9 +221,7 @@ def identity_span(field, n):
 
 def generator_span(name, field):
     """Spans of the elementary tangles at the field's value of t."""
-    one = field.one
-    zero = field.zero
-    t = field.t
+    one, zero, t = field.one, field.zero, field.t
     if name in ("id+", "id-"):
         return identity_span(field, 1)
     if name == "xp":
@@ -237,10 +250,8 @@ def compose_spans(s1, s2):
         raise DimensionMismatch("target dim %d != source dim %d"
                                 % (s1.tgt_dim, s2.src_dim))
     field = s1.field
-    glue_rows = []
-    for i in range(s1.tgt_dim):
-        glue_rows.append(tuple(s1.right.rows[i])
-                         + tuple(-x for x in s2.left.rows[i]))
+    glue_rows = [g + tuple(-x for x in f)
+                 for g, f in zip(s1.right.rows, s2.left.rows)]
     glue = Mat(glue_rows, s1.mid_dim + s2.mid_dim)
     k = kernel_basis(field, glue)
     top = Mat(k.rows[: s1.mid_dim], k.ncols)
@@ -250,35 +261,38 @@ def compose_spans(s1, s2):
     return Span(field, s1.src_dim, s2.tgt_dim, k.ncols, left, right)
 
 
-def tensor_spans(s1, s2):
-    if s1.field is not s2.field:
+def tensor_spans(*spans):
+    """Spans side by side: block-diagonal maps, built in one pass."""
+    field = spans[0].field
+    if any(s.field is not field for s in spans):
         raise DimensionMismatch("spans over different fields")
-    field = s1.field
+    mid = sum(s.mid_dim for s in spans)
 
-    def block(a, b):
-        rows = []
-        for r in a.rows:
-            rows.append(tuple(r) + (field.zero,) * b.ncols)
-        for r in b.rows:
-            rows.append((field.zero,) * a.ncols + tuple(r))
-        return Mat(rows, a.ncols + b.ncols)
+    def block(maps):
+        rows, before, zero = [], 0, (field.zero,)
+        for m in maps:
+            after = zero * (mid - before - m.ncols)
+            rows += [zero * before + r + after for r in m.rows]
+            before += m.ncols
+        return Mat(rows, mid)
 
-    return Span(field, s1.src_dim + s2.src_dim, s1.tgt_dim + s2.tgt_dim,
-                s1.mid_dim + s2.mid_dim, block(s1.left, s2.left),
-                block(s1.right, s2.right))
+    return Span(field, sum(s.src_dim for s in spans),
+                sum(s.tgt_dim for s in spans), mid,
+                block([s.left for s in spans]),
+                block([s.right for s in spans]))
 
 
 def evaluate_tangle(expr, field):
-    """Fold generator spans under composition and tensor."""
+    """Fold generator spans: a composition left to right, a tensor in
+    one block-diagonal pass."""
     if isinstance(expr, Gen):
         return generator_span(expr.name, field)
+    if not isinstance(expr, _Chain):
+        raise TypeError("not a tangle expression: %r" % (expr,))
+    spans = map(evaluate_tangle, expr.factors, repeat(field))
     if isinstance(expr, Compose):
-        return compose_spans(evaluate_tangle(expr.first, field),
-                             evaluate_tangle(expr.then, field))
-    if isinstance(expr, Tensor):
-        return tensor_spans(evaluate_tangle(expr.left, field),
-                            evaluate_tangle(expr.right, field))
-    raise TypeError("not a tangle expression: %r" % (expr,))
+        return reduce(compose_spans, spans)
+    return tensor_spans(*spans)
 
 
 def spans_equivalent(s1, s2):
@@ -331,9 +345,7 @@ class BoundarySystem:
 
 def tangle_system(expr):
     """Slice an expression into arcs and crossing/gluing equations."""
-    t = LaurentPoly.t()
-    one = LaurentPoly.one()
-    tinv = LaurentPoly.monomial(-1)
+    t, one, tinv = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.monomial(-1)
     equations = []
     pairs = []
     nvars = 0
@@ -367,17 +379,19 @@ def tangle_system(expr):
                 return [], [v, v]
             raise ValueError(name)
         if isinstance(node, Compose):
-            b1, t1 = walk(node.first)
-            b2, t2 = walk(node.then)
-            for x, y in zip(t1, b2):
-                if x != y:
-                    equations.append({x: one, y: -one})
-                    pairs.append((x, y))
-            return b1, t2
+            bottom, top = walk(node.factors[0])
+            for factor in node.factors[1:]:
+                below = top
+                above, top = walk(factor)
+                for x, y in zip(below, above):
+                    if x != y:
+                        equations.append({x: one, y: -one})
+                        pairs.append((x, y))
+            return bottom, top
         if isinstance(node, Tensor):
-            bl, tl = walk(node.left)
-            br, tr = walk(node.right)
-            return bl + br, tl + tr
+            ends = list(map(walk, node.factors))
+            return ([v for b, _ in ends for v in b],
+                    [v for _, u in ends for v in u])
         raise TypeError("not a tangle expression: %r" % (node,))
 
     bottom, top = walk(expr)
@@ -426,48 +440,24 @@ def closed_tangle_delta(expr):
     return canonical_poly(reduced[n - 2][pivots[-1]])
 
 
-def _tensor_chain(exprs):
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Tensor(out, e)
-    return out
-
-
-def _id_block(sign, count):
-    return [Gen("id+" if sign == "+" else "id-") for _ in range(count)]
-
-
 def braid_expr(b):
-    """A braid word as a DSL expression on n upward strands."""
-    n = b.strands
-    if not b.letters:
-        return _tensor_chain(_id_block("+", n))
-    slices = []
-    for letter in b.letters:
-        i = abs(letter)
-        factors = (_id_block("+", i - 1)
-                   + [Gen("xp" if letter > 0 else "xm")]
-                   + _id_block("+", n - i - 1))
-        slices.append(_tensor_chain(factors))
-    out = slices[0]
-    for s in slices[1:]:
-        out = Compose(out, s)
-    return out
+    """A braid word as a DSL expression on n upward strands: one
+    composition of tensor slices."""
+    n, up = b.strands, Gen("id+")
+    slices = [Tensor(*[up] * (abs(x) - 1), Gen("xp" if x > 0 else "xm"),
+                     *[up] * (n - abs(x) - 1)) for x in b.letters]
+    return Compose(*slices) if slices else Tensor(*[up] * n)
 
 
 def braid_closure_expr(b):
     """Closure of a braid in the DSL: nested coev cups, the braid on the
     + block, then nested ev caps (strand j pairs with cup n+1-j)."""
     n = b.strands
-    cups = Gen("coev-+")
-    for k in range(2, n + 1):
-        layer = _tensor_chain(_id_block("-", k - 1) + [Gen("coev-+")]
-                              + _id_block("+", k - 1))
-        cups = Compose(cups, layer)
-    middle = _tensor_chain(_id_block("-", n) + [braid_expr(b)])
-    caps = Gen("ev-+")
-    for k in range(2, n + 1):
-        layer = _tensor_chain(_id_block("-", k - 1) + [Gen("ev-+")]
-                              + _id_block("+", k - 1))
-        caps = Compose(layer, caps)
-    return Compose(Compose(cups, middle), caps)
+    down, up = Gen("id-"), Gen("id+")
+
+    def layer(k, name):
+        return Tensor(*[down] * (k - 1), Gen(name), *[up] * (k - 1))
+
+    return Compose(*[layer(k, "coev-+") for k in range(1, n + 1)],
+                   Tensor(*[down] * n, braid_expr(b)),
+                   *[layer(k, "ev-+") for k in range(n, 0, -1)])

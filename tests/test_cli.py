@@ -200,17 +200,31 @@ def test_exit_codes(capsys):
     code, _, err = _run(capsys, ["span", "--format", "dsl", "--t=1e400i",
                                  "xp"])
     assert (code, err) == (2, "error: t-spec '1e400i' is not finite\n")
+    # a finite complex t whose matrix or singular values leave the floats
+    for argv in (["span", "--format", "dsl", "--t=1e308+1e308i",
+                  "xp ; xm ; xp"],
+                 ["fiber", "--t=1e308+1e308i", "2: s1 s1 s1"],
+                 ["span", "--format", "dsl", "--t=1e-320+0i",
+                  "xp ; xm ; xp"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: complex t=") and err.count("\n") == 1
     code, _, err = _run(capsys, ["alexander", "--file", "/nonexistent"])
     assert code == 2
-    # DSL nested past tangles.MAX_DEPTH: a ParseError, not RecursionError
+    # parentheses nested past tangles.MAX_DEPTH: a ParseError, not
+    # RecursionError; a flat chain of any length is fine
     for text in _TOO_DEEP:
         code, out, err = _run(capsys, ["span", "--format", "dsl", text])
         assert (code, out) == (2, "")
         assert err.startswith("error: tangle nested deeper than")
         assert err.count("\n") == 1
+    code, out, _ = _run(capsys, ["span", "--format", "dsl", _LONG_CHAIN])
+    assert (code, out) == (0, "src=1 mid=1 tgt=1\n")
 
 
-_TOO_DEEP = ("(" * 1200 + "xp" + ")" * 1200, " ; ".join(["id+"] * 3000))
+_TOO_DEEP = ("(" * 1200 + "xp" + ")" * 1200,
+             "(id+ # " * 1200 + "id+" + ")" * 1200)
+_LONG_CHAIN = " ; ".join(["id+"] * 3000)
 
 
 _EXIT_2 = ("ParseError", "ValidationError", "AmbiguousOrientation",
@@ -239,14 +253,15 @@ def test_batch_file(tmp_path, capsys):
     assert lines[1]["exit_code"] == 2
     assert lines[2]["delta"]["pretty"] == "1"
     # a line nested too deeply is reported and the batch goes on
-    path.write_text("\n".join(_TOO_DEEP + ("xp ; xm",)) + "\n")
+    path.write_text("\n".join(_TOO_DEEP + (_LONG_CHAIN, "xp ; xm")) + "\n")
     code, out, _ = _run(capsys, ["span", "--format", "dsl", "--file",
                                  str(path)])
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [line.get("error_type") for line in lines] == [
-        "ParseError", "ParseError", None]
-    assert lines[2]["span"] == {"src": 2, "mid": 2, "tgt": 2}
+        "ParseError", "ParseError", None, None]
+    assert lines[2]["span"] == {"src": 1, "mid": 1, "tgt": 1}
+    assert lines[3]["span"] == {"src": 2, "mid": 2, "tgt": 2}
 
 
 def test_route_disagreement(tmp_path, capsys, monkeypatch):

@@ -361,7 +361,7 @@ def test_multivariate_operators_reject_other_operands():
     """+, - and * of a MultiLaurentPoly with anything but one (or an int
     factor), a LaurentPoly among them, raise TypeError; a variable count
     mismatch, ValueError, and polynomials in different variable counts
-    are unequal.  Equal values hash equal."""
+    are unequal.  Equal values hash equal, a constant and its int too."""
     one = MultiLaurentPoly.one(2)
     for other in (1, 1.5, Fraction(1, 2), LaurentPoly.one()):
         for op in (operator.add, operator.sub):
@@ -389,5 +389,8 @@ def test_multivariate_operators_reject_other_operands():
     for a, b in ((t * t - u, (t - u) * (t + u)),
                  (one * 3, MultiLaurentPoly.constant(3, 2)),
                  (MultiLaurentPoly.variable(1, 1) - MultiLaurentPoly.one(1),
-                  MultiLaurentPoly.from_laurent(t - u))):
+                  MultiLaurentPoly.from_laurent(t - u)),
+                 (LaurentPoly.constant(3), 3), (LaurentPoly.zero(), 0),
+                 (MultiLaurentPoly.constant(-2, 2), -2)):
         assert a == b and hash(a) == hash(b)
+    assert {3: "three"}[LaurentPoly.constant(3)] == "three"

@@ -51,21 +51,25 @@ def test_parse_errors():
 
 
 def _nested(depth):
-    """Parentheses `depth` deep around `xp`; a `;` chain and a `#` chain
-    whose trees are `depth` deep; and `depth` parentheses each holding
-    one composition, a tree `depth` deep as well."""
+    """Parentheses `depth` deep: around `xp`; each holding one
+    composition; and each holding a composition of a tensor, the deepest
+    tree a parenthesis allows (two levels each), closing one more circle
+    a level."""
+    alternating = "coev+- ; ev+-"
+    for _ in range(depth):
+        alternating = "coev+- ; ev+- # (%s)" % alternating
     return ["(" * depth + "xp" + ")" * depth,
-            " ; ".join(["id+"] * (depth + 1)),
-            " # ".join(["id+"] * (depth + 1)),
-            "(id+ ; " * depth + "id+" + ")" * depth]
+            "(id+ ; " * depth + "id+" + ")" * depth, alternating]
 
 
 def test_parse_depth_limit():
-    """Nesting up to MAX_DEPTH parses, and every recursive walk of the
+    """Parentheses up to MAX_DEPTH parse, and every recursive walk of the
     tree then runs; one level more raises ParseError instead of
-    RecursionError."""
+    RecursionError.  `;` and `#` chains are flat, so no length of them
+    nests."""
     field = GenericTField()
-    for text in _nested(MAX_DEPTH):
+    chains = [" ; ".join(["id+"] * 5000), " # ".join(["id+"] * 5000)]
+    for text in _nested(MAX_DEPTH) + chains:
         expr = parse_tangle(text)
         assert parse_tangle(expr.render()).render() == expr.render()
         span = evaluate_tangle(expr, field)
@@ -74,6 +78,33 @@ def test_parse_depth_limit():
     for text in _nested(MAX_DEPTH + 1):
         with pytest.raises(ParseError, match="nested deeper"):
             parse_tangle(text)
+    assert [len(parse_tangle(text).factors) for text in chains] == [5000,
+                                                                    5000]
+
+
+def test_flat_factors():
+    """Chains of one kind splice into one node; seams are checked, and a
+    parsed mismatch names its ';'."""
+    a, b, c = Gen("xp"), Gen("xm"), Gen("xp")
+    assert Compose(Compose(a, b), c).factors == (a, b, c)
+    assert Compose(a, Compose(b, c)).factors == (a, b, c)
+    assert Tensor(a, Tensor(b, c)).factors == (a, b, c)
+    mixed = Tensor(Compose(a, b), c)
+    assert mixed.render() == "(xp ; xm) # xp"
+    assert Compose(mixed, mixed).factors == (mixed, mixed)
+    with pytest.raises(BoundaryMismatch) as info:
+        parse_tangle("xp ; xm ; id+ # id+ ; ev+-")
+    assert info.value.position == 20
+
+
+def test_long_braid_walks():
+    """A braid of 1000 letters is one composition: evaluating it, slicing
+    it into a system and rendering it recurse no deeper than a short one."""
+    e = braid_expr(BraidWord(3, [1, -2] * 500))
+    span = evaluate_tangle(e, RationalPoint(2))
+    assert (span.src_dim, span.mid_dim, span.tgt_dim) == (3, 3, 3)
+    assert tangle_system(e).nvars == 4000
+    assert parse_tangle(e.render()).render() == e.render()
 
 
 def test_generator_span_dims():
