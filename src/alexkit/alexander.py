@@ -31,26 +31,54 @@ def component_weights(d):
 
 
 class AlexanderMatrix:
-    """(n-1) x n presentation matrix of the Alexander module."""
+    """(n-1) x n presentation matrix of the Alexander module, stored as one
+    {column: nonzero entry} map per row, columns counted from 0.  Rows
+    share their entry objects, so a dense view converts each distinct
+    entry once."""
 
-    __slots__ = ("rows", "arc_count", "variable_count")
+    __slots__ = ("sparse_rows", "arc_count", "variable_count")
 
-    def __init__(self, rows, arc_count, variable_count):
-        self.rows = tuple(tuple(r) for r in rows)
+    def __init__(self, sparse_rows, arc_count, variable_count):
+        self.sparse_rows = tuple(sparse_rows)
         self.arc_count = arc_count
         self.variable_count = variable_count
 
+    def dense_rows(self, zero, convert=None):
+        """Dense rows filled from one `zero`, each entry x as convert(x),
+        or as it is without `convert`."""
+        seen = {}
+        out = []
+        for entries in self.sparse_rows:
+            row = [zero] * self.arc_count
+            if convert is None:
+                for j, x in entries.items():
+                    row[j] = x
+            else:
+                for j, x in entries.items():
+                    y = seen.get(id(x))
+                    if y is None:
+                        y = seen[id(x)] = convert(x)
+                    row[j] = y
+            out.append(row)
+        return out
+
+    @property
+    def rows(self):
+        """Dense view: a tuple of row tuples of MultiLaurentPoly."""
+        return tuple(map(tuple, self.dense_rows(
+            MultiLaurentPoly.zero(self.variable_count))))
+
     def univariate_rows(self):
+        """Dense view: a list of row lists of LaurentPoly."""
         if self.variable_count != 1:
             raise UseMultivariableRoute(
                 "matrix has %d variables" % self.variable_count)
-        zero = LaurentPoly.zero()
-        return [[entry.to_laurent() if entry else zero for entry in row]
-                for row in self.rows]
+        return self.dense_rows(LaurentPoly.zero(),
+                               MultiLaurentPoly.to_laurent)
 
     def __repr__(self):
         return "AlexanderMatrix<%dx%d, %d vars>" % (
-            len(self.rows), self.arc_count, self.variable_count)
+            len(self.sparse_rows), self.arc_count, self.variable_count)
 
 
 def alexander_matrix(d, weights=None):
@@ -60,7 +88,9 @@ def alexander_matrix(d, weights=None):
     In closed form (Crowell-Fox, Introduction to Knot Theory, ch. VII),
     over arc j, under arcs i -> k and weights w give 1 - w_i at j, w_j at
     i when s = +1, w_j^-1 (w_i - 1) at j, w_j^-1 at i when s = -1, and -1
-    at k, exact as w_i == w_k is checked; coinciding arcs add."""
+    at k, exact as w_i == w_k is checked; coinciding arcs add, and zero
+    entries (w_i = 1, or a sum that cancels) are left out.  The entry
+    pair is computed once for each distinct (sign, w_j, w_i)."""
     if weights is None:
         weights = component_weights(d)
     for arc in range(1, d.arc_count + 1):
@@ -72,18 +102,28 @@ def alexander_matrix(d, weights=None):
                 "arcs %d and %d lie on one component but carry different "
                 "weights" % (c.under_in, c.under_out))
     one = MultiLaurentPoly.one(weights.nvars)
-    zero, minus_one = one - one, -one
+    minus_one = -one
+    pairs = {}
     rows = []
     for c in d.crossings[:-1]:
         wj, wi = weights.assignment[c.over], weights.assignment[c.under_in]
-        if c.sign > 0:
-            entries = ((c.over, one - wi), (c.under_in, wj))
-        else:
-            inv = wj.term_inverse()
-            entries = ((c.over, inv * (wi - one)), (c.under_in, inv))
-        row = [zero] * d.arc_count
-        for arc, entry in entries + ((c.under_out, minus_one),):
-            row[arc - 1] = row[arc - 1] + entry if row[arc - 1] else entry
+        # a unit weight has one term; its (exponents, coefficient) is a key
+        key = (c.sign, *wj.coeffs.items(), *wi.coeffs.items())
+        pair = pairs.get(key)
+        if pair is None:
+            if c.sign > 0:
+                pair = (one - wi, wj)
+            else:
+                inv = wj.term_inverse()
+                pair = (inv * (wi - one), inv)
+            pairs[key] = pair
+        row = {}
+        for arc, entry in zip((c.over, c.under_in, c.under_out),
+                              pair + (minus_one,)):
+            if arc - 1 in row:
+                entry = row.pop(arc - 1) + entry
+            if entry:
+                row[arc - 1] = entry
         rows.append(row)
     return AlexanderMatrix(rows, d.arc_count, weights.nvars)
 
@@ -152,8 +192,8 @@ def fibre_dimension(m, t, tol=1e-9):
         field = ComplexPoint(t, tol)
     else:
         field = RationalPoint(t)
-    rows = [[field.from_laurent(entry) if entry else field.zero
-             for entry in row] for row in m.univariate_rows()]
+    rows = m.dense_rows(field.zero,
+                        lambda x: field.from_laurent(x.to_laurent()))
     return m.arc_count - fields.mat_rank(field, Mat(rows, m.arc_count))
 
 
@@ -217,11 +257,12 @@ def ring_presentation(d):
     return RingPresentation(m.arc_count, m.univariate_rows())
 
 
-def _torres_quotient(m, col, var):
-    """A_col / (var - 1), A_col the minor of m without column col, as its
-    canonical associate; RouteDisagreement if the division is inexact."""
-    one = MultiLaurentPoly.one(m.variable_count)
-    minor = poly_det([row[:col] + row[col + 1:] for row in m.rows], one)
+def _torres_quotient(rows, col, var):
+    """A_col / (var - 1), A_col the minor of the dense rows without column
+    col, as its canonical associate; RouteDisagreement if the division is
+    inexact."""
+    one = MultiLaurentPoly.one(var.nvars)
+    minor = poly_det([row[:col] + row[col + 1:] for row in rows], one)
     try:
         quotient = mv_exact_div(minor, var - one)
     except ValueError:
@@ -245,12 +286,13 @@ def multivariable_alexander(d):
         raise UseUnivariateRoute("use the univariate route for knots")
     m = alexander_matrix(d)
     nvars = m.variable_count
-    if m.arc_count - 1 > len(m.rows):
+    if m.arc_count - 1 > len(m.sparse_rows):
         return MultiLaurentPoly.zero(nvars)
+    rows = m.rows
     # components are numbered in the order of their least arcs
     second = min(arc for arc, k in d.components.items() if k == 2)
-    delta = _torres_quotient(m, 0, MultiLaurentPoly.variable(1, nvars))
-    check = _torres_quotient(m, second - 1,
+    delta = _torres_quotient(rows, 0, MultiLaurentPoly.variable(1, nvars))
+    check = _torres_quotient(rows, second - 1,
                              MultiLaurentPoly.variable(2, nvars))
     if delta != check:
         raise RouteDisagreement(

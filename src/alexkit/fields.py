@@ -12,6 +12,7 @@ its scalars at the end.  The SVD, and so numpy, runs only at complex t.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from fractions import Fraction
@@ -80,6 +81,9 @@ class RationalPoint(ScalarField):
     """Exact evaluation at a fixed nonzero rational t."""
 
     def __init__(self, t):
+        if t != t or t in (math.inf, -math.inf):  # NaN, or an infinity
+            raise ValidationError("t = %r is not a finite evaluation point"
+                                  % t)
         t = Fraction(t)
         if t == 0:
             raise NotAUnit("t = 0 is not an allowed evaluation point")
@@ -110,6 +114,9 @@ class ComplexPoint(ScalarField):
 
     def __init__(self, t, tol=1e-9):
         t = complex(t)
+        if not cmath.isfinite(t):
+            raise ValidationError("t = %r is not a finite evaluation point"
+                                  % t)
         if t == 0:
             raise NotAUnit("t = 0 is not an allowed evaluation point")
         self.t = t

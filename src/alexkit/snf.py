@@ -3,23 +3,27 @@ exact determinants over the univariate and multivariate Laurent rings.
 
 `smith_normal_form` is one sparse elimination over rows stored as
 {column: entry}, every coefficient an int.  While some entry is a unit
-+-t^k, the pivot is the unit of least Markowitz cost (r - 1)(c - 1), r
-and c the nonzero counts of its row and column (the unit-pivot
++-t^k, the pivot is a unit of least Markowitz cost (r - 1)(c - 1), r and
+c the nonzero counts of its row and column (the unit-pivot
 preconditioning of Dumas, Saunders and Villard, J. Symb. Comput. 32,
-2001); otherwise it is an entry of least degree spread.  Row operations
-pseudo-divide the rest of the pivot column by the pivot, s*f = q*pivot +
-r, and replace each such row by s times itself minus q times the pivot
-row; s is a positive integer, a unit of Q[t, t^-1].  A remainder stays in
-place; its spread is below the pivot's, so a later pivot choice takes it
-up and nothing restarts.  Once the column is clear, column operations
-reduce the pivot row the same way, scaling the rest of each reduced
-column by its s.  A pivot with a clear column splits off as a 1 x 1 block
-when it is a unit (clearing its row then changes nothing else) or when it
-is alone in its row.  After a non-unit step each changed row is divided
-by its integer content, so the coefficients stay small.  The blocks form
-a diagonal matrix equivalent to the input, and replacing each pair (a, b)
-of its entries with (gcd, lcm) makes it a divisibility chain (Newman,
-Integral Matrices, 1972).
+2001); otherwise it is an entry of least degree spread.  The units wait
+in a heap at the cost they had when their row last changed, and a cost
+is recomputed only when its unit comes up: one that has risen goes back
+in at its new cost, one that has fallen is taken where it stands.  So a
+step costs the rows it changes, not every unit in the columns it
+touches.  Row operations pseudo-divide the rest of the pivot column by
+the pivot, s*f = q*pivot + r, and replace each such row by s times
+itself minus q times the pivot row; s is a positive integer, a unit of
+Q[t, t^-1].  A remainder stays in place; its spread is below the
+pivot's, so a later pivot choice takes it up and nothing restarts.  Once
+the column is clear, column operations reduce the pivot row the same
+way, scaling the rest of each reduced column by its s.  A pivot with a
+clear column splits off as a 1 x 1 block when it is a unit (clearing its
+row then changes nothing else) or when it is alone in its row.  After a
+non-unit step each changed row is divided by its integer content, so the
+coefficients stay small.  The blocks form a diagonal matrix equivalent
+to the input, and replacing each pair (a, b) of its entries with (gcd,
+lcm) makes it a divisibility chain (Newman, Integral Matrices, 1972).
 
 `poly_det` is one sparse elimination loop too, whose pivot is the unit
 +-t^k of least Markowitz cost or else an entry of fewest terms: unit
@@ -56,8 +60,10 @@ def smith_normal_form(rows):
     for i, row in enumerate(sparse):
         for j in row:
             cols.setdefault(j, set()).add(i)
-    # Invariant: every unit entry has a heap item with its current cost;
-    # items whose row, entry or cost has changed since are skipped.
+    # Invariant: every unit entry has a heap item with its cost when it was
+    # pushed.  A popped item whose entry is gone or no longer a unit is
+    # dropped; one whose cost has risen since is pushed back at its new
+    # cost, and otherwise its entry is the pivot.
     heap = []
 
     def push_units(i, js):
@@ -76,9 +82,11 @@ def smith_normal_form(rows):
         while heap:
             cost, i, j = heapq.heappop(heap)
             row = sparse[i]
-            if row is not None and j in row and row[j].is_unit() \
-                    and cost == (len(row) - 1) * (len(cols[j]) - 1):
-                break
+            if row is not None and j in row and row[j].is_unit():
+                now = (len(row) - 1) * (len(cols[j]) - 1)
+                if now <= cost:
+                    break
+                heapq.heappush(heap, (now, i, j))
             i = None
         if i is None:
             live = [(x.spread, i, j) for i, row in enumerate(sparse)
@@ -87,7 +95,6 @@ def smith_normal_form(rows):
                 break
             _, i, j = min(live)
         row = sparse[i]
-        touched = list(row)
         pivot = row.pop(j)
         unit = pivot.is_unit()
         inverse = pivot ** -1 if unit else None
@@ -144,9 +151,6 @@ def smith_normal_form(rows):
             if not unit:
                 _primitive_row(sparse[r])
             push_units(r, sparse[r])
-        for k in touched:
-            for r in cols.get(k, ()):
-                push_units(r, (k,))
     chain = [canonical_poly(d) for d in diag]
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):

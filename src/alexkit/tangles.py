@@ -12,7 +12,8 @@ from functools import reduce
 from itertools import repeat
 
 from .codes import label_classes
-from .errors import BoundaryMismatch, DimensionMismatch, ParseError
+from .errors import (BoundaryMismatch, DimensionMismatch, ParseError,
+                     ValidationError)
 from .fields import (GenericTField, Mat, _fraction_free, column_space_equal,
                      kernel_basis, mat_identity, mat_mul)
 from .laurent import LaurentPoly, canonical_poly
@@ -76,12 +77,15 @@ class _Chain(TangleExpr):
 
 class Compose(_Chain):
     """Factors stacked bottom to top; `positions` holds the offset of the
-    ';' at each seam, for BoundaryMismatch."""
+    ';' at each seam, for BoundaryMismatch.  There must be at least one:
+    an empty composition has no boundary to take."""
 
     __slots__ = ()
     _joint = " ; "
 
     def __init__(self, *factors, positions=None):
+        if not factors:
+            raise ValidationError("a composition needs at least one factor")
         for i, (below, above) in enumerate(zip(factors, factors[1:])):
             if below.target != above.source:
                 raise BoundaryMismatch(positions[i] if positions else "?",
@@ -91,7 +95,7 @@ class Compose(_Chain):
 
 
 class Tensor(_Chain):
-    """Factors side by side, left to right."""
+    """Factors side by side, left to right; with none, the empty tangle."""
 
     __slots__ = ()
     _joint = " # "
@@ -262,7 +266,10 @@ def compose_spans(s1, s2):
 
 
 def tensor_spans(*spans):
-    """Spans side by side: block-diagonal maps, built in one pass."""
+    """Spans side by side: block-diagonal maps, built in one pass.  At
+    least one span is needed, to give the field."""
+    if not spans:
+        raise ValidationError("tensor_spans needs at least one span")
     field = spans[0].field
     if any(s.field is not field for s in spans):
         raise DimensionMismatch("spans over different fields")
@@ -284,11 +291,13 @@ def tensor_spans(*spans):
 
 def evaluate_tangle(expr, field):
     """Fold generator spans: a composition left to right, a tensor in
-    one block-diagonal pass."""
+    one block-diagonal pass; the empty tensor is the identity on 0."""
     if isinstance(expr, Gen):
         return generator_span(expr.name, field)
     if not isinstance(expr, _Chain):
         raise TypeError("not a tangle expression: %r" % (expr,))
+    if not expr.factors:
+        return identity_span(field, 0)
     spans = map(evaluate_tangle, expr.factors, repeat(field))
     if isinstance(expr, Compose):
         return reduce(compose_spans, spans)

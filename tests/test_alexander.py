@@ -75,6 +75,37 @@ def test_closed_form_rows_match_wirtinger_relators():
     assert kinks > 1000
 
 
+def test_sparse_rows_and_dense_views():
+    """A row stores its nonzero entries only, at most three; `rows` and
+    `univariate_rows()` are dense views of them.  With every weight 1 the
+    entries 1 - w vanish, and on kinks coinciding arcs add, to 0 where an
+    under arc leaves as it came (w_j - 1)."""
+    m = alexander_matrix(braid_closure(BraidWord(3, [1, -2] * 100)))
+    assert len(m.sparse_rows) == m.arc_count - 1 == 199
+    assert all(0 < len(row) <= 3 for row in m.sparse_rows)
+    rng = random.Random(29)
+    one = MultiLaurentPoly.one(1)
+    kinks = 0
+    for _ in range(300):
+        d = random_crossing_list(rng)
+        kinks += sum(c.over in (c.under_in, c.under_out)
+                     for c in d.crossings[:-1])
+        arcs = range(1, d.arc_count + 1)
+        for weights in (AbelianWeights({arc: one for arc in arcs}, 1),
+                        AbelianWeights.all_t(arcs)):
+            m = alexander_matrix(d, weights)
+            assert all(x for row in m.sparse_rows for x in row.values())
+            assert all(len(row) <= 3 for row in m.sparse_rows)
+            rows = m.rows
+            assert type(rows) is tuple and all(type(r) is tuple
+                                               for r in rows)
+            assert list(rows) == wirtinger_fox_rows(d, weights), d.render()
+            plain = m.univariate_rows()
+            assert plain == [[x.to_laurent() for x in row] for row in rows]
+            assert all(type(x) is LaurentPoly for row in plain for x in row)
+    assert kinks > 100
+
+
 def test_catalog_knot_deltas():
     for name in catalog_names():
         entry = catalog_lookup(name)

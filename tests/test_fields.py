@@ -5,6 +5,7 @@ generic t."""
 import cmath
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from alexkit.errors import DimensionMismatch, NotAUnit
+from alexkit.alexander import alexander_matrix, fibre_dimension
+from alexkit.codes import catalog_lookup
+from alexkit.errors import DimensionMismatch, NotAUnit, ValidationError
 from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
                             _fraction_free, column_space_equal, kernel_basis,
                             mat_mul, mat_rank)
@@ -309,6 +312,22 @@ def test_generic_div_is_exact_by_units_only():
               LaurentPoly.zero()):
         with pytest.raises(NotAUnit):
             field.div(p, d)
+
+
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_points_are_validation_errors(t):
+    """Infinities and NaNs are no evaluation points, as on the command
+    line: real ones at both fixed fields and in fibre_dimension, and a
+    complex point with either part non-finite."""
+    for x in (t, Decimal(t), np.float32(t)):
+        with pytest.raises(ValidationError):
+            RationalPoint(x)
+    for z in (complex(t, 0), complex(0, t), complex(1, t)):
+        with pytest.raises(ValidationError):
+            ComplexPoint(z)
+    m = alexander_matrix(catalog_lookup("trefoil").crossing_list)
+    with pytest.raises(ValidationError):
+        fibre_dimension(m, t)
 
 
 def _random_laurent_matrix(rng):

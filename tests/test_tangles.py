@@ -11,7 +11,8 @@ import alexkit.tangles
 from alexkit.alexander import knot_delta
 from alexkit.burau import burau_unreduced, span_trace_fix
 from alexkit.codes import BraidWord, braid_closure, catalog_lookup
-from alexkit.errors import BoundaryMismatch, DimensionMismatch, ParseError
+from alexkit.errors import (BoundaryMismatch, DimensionMismatch,
+                            ParseError, ValidationError)
 from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
                             mat_mul)
 from alexkit.laurent import LaurentPoly, canonical_poly, normalize_unit
@@ -19,7 +20,7 @@ from alexkit.snf import smith_normal_form
 from alexkit.tangles import (Compose, Gen, Tensor, braid_closure_expr,
                              MAX_DEPTH, braid_expr, closed_tangle_delta,
                              compose_spans, evaluate_tangle, generator_span,
-                             parse_tangle,
+                             identity_span, parse_tangle,
                              spans_equivalent, tangle_linear_system,
                              tangle_system, tensor_spans)
 from util import random_tangle_expr
@@ -95,6 +96,24 @@ def test_flat_factors():
     with pytest.raises(BoundaryMismatch) as info:
         parse_tangle("xp ; xm ; id+ # id+ ; ev+-")
     assert info.value.position == 20
+
+
+def test_empty_chains():
+    """An empty composition has no boundary and tensor_spans() no field:
+    both are ValidationErrors.  The empty tensor is the identity on 0."""
+    with pytest.raises(ValidationError):
+        Compose()
+    with pytest.raises(ValidationError):
+        tensor_spans()
+    for field in FIELDS:
+        span = evaluate_tangle(Tensor(), field)
+        zero = identity_span(field, 0)
+        assert (span.src_dim, span.mid_dim, span.tgt_dim) == (0, 0, 0)
+        assert (span.left.rows, span.left.ncols) == (zero.left.rows,
+                                                     zero.left.ncols)
+        assert (span.right.rows, span.right.ncols) == (zero.right.rows,
+                                                       zero.right.ncols)
+        assert spans_equivalent(span, tangle_linear_system(Tensor(), field))
 
 
 def test_long_braid_walks():
