@@ -176,20 +176,20 @@ def alexander_data(m):
     return AlexanderData(delta_k, factors, strata)
 
 
-def fibre_dimension(m, t, tol=1e-9):
+def fibre_dimension(m, t):
     """dim of the fibre of the Alexander fibration over t: n - rank(m(t)).
 
-    t is a nonzero rational (exact rank), a complex or float (SVD rank
-    with relative tolerance tol), or a ScalarField; GenericTField gives
-    the generic fibre.  NotAUnit at t = 0; UseMultivariableRoute on a
-    link's matrix, at every t.
+    t is a nonzero rational (exact rank), a complex or float (SVD rank),
+    or a ScalarField, such as ComplexPoint(t, tol) for an SVD tolerance
+    other than the default; GenericTField gives the generic fibre.
+    NotAUnit at t = 0; UseMultivariableRoute on a link's matrix, at every t.
     """
     if m.variable_count != 1:
         raise UseMultivariableRoute("fibre dimensions need a univariate matrix")
     if isinstance(t, ScalarField):
         field = t
     elif isinstance(t, (complex, float)) and not isinstance(t, bool):
-        field = ComplexPoint(t, tol)
+        field = ComplexPoint(t)
     else:
         field = RationalPoint(t)
     rows = m.dense_rows(field.zero,

@@ -86,9 +86,9 @@ def burau_reduced(b):
     return _reduce_rows(burau_unreduced(b).rows, b.strands)
 
 
-def _id_minus(rows, skip=None):
-    """Id - M for the square rows of M, without row and column `skip`."""
-    one = LaurentPoly.one()
+def _id_minus(rows, one, skip=None):
+    """Id - M for the square rows of M, whose ring has unit `one`, without
+    row and column `skip`."""
     return [[one - x if i == j else -x for j, x in enumerate(row) if j != skip]
             for i, row in enumerate(rows) if i != skip]
 
@@ -96,13 +96,10 @@ def _id_minus(rows, skip=None):
 def span_trace_fix(m, field):
     """Span trace of a Burau matrix: 0 <- Fix(m) -> 0 with
     Fix(m) = ker(Id - m) over the given field."""
-    n = m.strands
-    rows = [[field.one - x if i == j else -x
-             for j, x in enumerate(map(field.from_laurent, row))]
-            for i, row in enumerate(m.rows)]
-    k = kernel_basis(field, Mat(rows, n))
-    dim = k.ncols
-    return Span(field, 0, 0, dim, Mat([], dim), Mat([], dim))
+    rows = [map(field.from_laurent, row) for row in m.rows]
+    dim = kernel_basis(field, Mat(_id_minus(rows, field.one),
+                                  m.strands)).ncols
+    return Span(field, Mat([], dim), Mat([], dim))
 
 
 def closure_alexander(b, deleted_index=0):
@@ -119,10 +116,11 @@ def closure_alexander(b, deleted_index=0):
                               % (k, b.strands - 1))
     m = burau_unreduced(b)
     one = LaurentPoly.one()
-    det = poly_det(_id_minus(m.rows, k), one)
+    det = poly_det(_id_minus(m.rows, one, k), one)
     if b.strands >= 2 and b.component_count() == 1:
         t = LaurentPoly.t()
-        red_det = poly_det(_id_minus(_reduce_rows(m.rows, b.strands)), one)
+        red_det = poly_det(_id_minus(_reduce_rows(m.rows, b.strands), one),
+                           one)
         lhs = (one - t) * red_det
         rhs = (one - t ** b.strands) * det
         if normalize_unit(lhs) != normalize_unit(rhs):

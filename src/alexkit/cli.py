@@ -145,8 +145,8 @@ def _span(text, fmt, field):
         m = burau_mod.burau_unreduced(b)
         rows = [[field.from_laurent(entry) for entry in row]
                 for row in m.rows]
-        span = Span(field, b.strands, b.strands, b.strands,
-                    mat_identity(field, b.strands), Mat(rows, b.strands))
+        span = Span(field, mat_identity(field, b.strands),
+                    Mat(rows, b.strands))
     else:
         raise ParseError("span needs --format dsl or braid")
     return ({"span": {"src": span.src_dim, "mid": span.mid_dim,
@@ -276,6 +276,31 @@ def _bind_t_values(argv):
     return out
 
 
+def _run_batch(args, field):
+    """One JSON line per input line of --file, an error object for a line
+    that fails; exit 2 if the file cannot be read."""
+    try:
+        with open(args.path) as handle:
+            raw_lines = handle.read().splitlines()
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    for raw in raw_lines:
+        stripped = raw.split("#", 1)[0].strip() \
+            if args.fmt != "dsl" else raw.strip()
+        if not stripped:
+            continue
+        try:
+            obj, _ = _run_verb(args.verb, stripped, args.fmt, field)
+            print(_emit_json(obj))
+        except AlexkitError as exc:
+            print(_emit_json({"verb": args.verb, "input": stripped,
+                              "error": str(exc),
+                              "error_type": type(exc).__name__,
+                              "exit_code": exc.exit_code}))
+    return 0
+
+
 def run(argv):
     try:
         args = _parser().parse_intermixed_args(_bind_t_values(argv))
@@ -284,42 +309,14 @@ def run(argv):
 
     try:
         field = parse_t_spec(args.t_spec)
-    except AlexkitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.exit_code
-
-    if args.verb == "selftest":
-        lines, ok = selftest_report()
-        print("\n".join(lines))
-        return 0 if ok else 1
-
-    if args.path is not None:
-        try:
-            with open(args.path) as handle:
-                raw_lines = handle.read().splitlines()
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        for raw in raw_lines:
-            stripped = raw.split("#", 1)[0].strip() \
-                if args.fmt != "dsl" else raw.strip()
-            if not stripped:
-                continue
-            try:
-                obj, _ = _run_verb(args.verb, stripped, args.fmt, field)
-                print(_emit_json(obj))
-            except AlexkitError as exc:
-                print(_emit_json({"verb": args.verb, "input": stripped,
-                                  "error": str(exc),
-                                  "error_type": type(exc).__name__,
-                                  "exit_code": exc.exit_code}))
-        return 0
-
-    if args.input is None and args.verb != "catalog":
-        print("error: missing input", file=sys.stderr)
-        return 2
-
-    try:
+        if args.verb == "selftest":
+            lines, ok = selftest_report()
+            print("\n".join(lines))
+            return 0 if ok else 1
+        if args.path is not None:
+            return _run_batch(args, field)
+        if args.input is None and args.verb != "catalog":
+            raise ParseError("missing input")
         obj, text = _run_verb(args.verb, args.input, args.fmt, field)
     except AlexkitError as exc:
         print("error: %s" % exc, file=sys.stderr)

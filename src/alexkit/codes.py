@@ -25,10 +25,14 @@ class BraidWord:
     __slots__ = ("strands", "letters")
 
     def __init__(self, strands, letters=()):
-        strands = int(strands)
+        try:
+            strands = int(strands)
+            letters = tuple(int(x) for x in letters)
+        except ValueError as exc:
+            raise ValidationError("braid strands and letters must be "
+                                  "integers: %s" % exc)
         if strands < 1:
             raise ValidationError("braid needs at least one strand")
-        letters = tuple(int(x) for x in letters)
         for x in letters:
             if x == 0 or abs(x) >= strands:
                 raise ValidationError("letter %d out of range for %d strands"

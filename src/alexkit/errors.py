@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all alexkit modules."""
+"""Exception hierarchy shared by all alexkit modules.
+
+Every error alexkit raises is an `AlexkitError`, except three built-in
+ones that are part of its contract:
+- `ValueError` for an inexact quotient in `exact_div` or `mv_exact_div`;
+- `ZeroDivisionError` for a division by the zero polynomial in
+  `exact_div`, `pseudo_divmod` and `mv_exact_div`;
+- `TypeError` for an argument of the wrong type, such as
+  `evaluate_tangle(1, field)` or `RationalPoint(None)`.
+"""
 
 
 class AlexkitError(Exception):

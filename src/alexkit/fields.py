@@ -84,7 +84,10 @@ class RationalPoint(ScalarField):
         if t != t or t in (math.inf, -math.inf):  # NaN, or an infinity
             raise ValidationError("t = %r is not a finite evaluation point"
                                   % t)
-        t = Fraction(t)
+        try:
+            t = Fraction(t)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError("t = %r is not a rational number" % (t,))
         if t == 0:
             raise NotAUnit("t = 0 is not an allowed evaluation point")
         self.t = t
@@ -113,7 +116,10 @@ class ComplexPoint(ScalarField):
     exact = False
 
     def __init__(self, t, tol=1e-9):
-        t = complex(t)
+        try:
+            t = complex(t)
+        except ValueError:
+            raise ValidationError("t = %r is not a complex number" % (t,))
         if not cmath.isfinite(t):
             raise ValidationError("t = %r is not a finite evaluation point"
                                   % t)
@@ -192,9 +198,11 @@ def _svd_rank(field, sv):
     return sum(1 for x in sv if x > field.tol * sv[0])
 
 
-def _fraction_free(field, m, full):
+def _fraction_free(rows, ncols, divide, full):
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968; Montante's full reduction) of m's integral rows.
+    1968; Montante's full reduction) of integral rows over ncols columns,
+    `divide` being their ring's exact division; the rows are reduced in
+    place.
 
     Rows are sparse, {column: entry} with nonzero entries only, so a step
     costs the nonzeros it touches and the fill-in it makes.  Pivots are
@@ -209,11 +217,10 @@ def _fraction_free(field, m, full):
     (forward Bareiss), which is all a rank needs.  Returns (rows, pivot
     columns).
     """
-    rows, divide = field.integral_rows(m)
     nrows = len(rows)
     pivots = []
     prev = None
-    for col in range(m.ncols):
+    for col in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
@@ -252,7 +259,8 @@ def mat_rank(field, m):
     """Rank by SVD on inexact fields and by forward fraction-free
     elimination on exact ones."""
     if field.exact:
-        return len(_fraction_free(field, m, full=False)[1])
+        rows, divide = field.integral_rows(m)
+        return len(_fraction_free(rows, m.ncols, divide, full=False)[1])
     if m.nrows == 0 or m.ncols == 0:
         return 0
     return _svd_rank(field, _svd(field, m, False))
@@ -275,7 +283,8 @@ def kernel_basis(field, m):
         rank = _svd_rank(field, sv)
         null = vh[rank:].conj().T  # n x (n - rank)
         return Mat([[complex(x) for x in row] for row in null], n - rank)
-    rows, pivots = _fraction_free(field, m, full=True)
+    rows, divide = field.integral_rows(m)
+    rows, pivots = _fraction_free(rows, n, divide, full=True)
     d = rows[len(pivots) - 1][pivots[-1]] if pivots else field.one
     pivot_set = set(pivots)
     basis_cols = []

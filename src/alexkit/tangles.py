@@ -9,14 +9,14 @@ any length is one node, and only parentheses nest, at most MAX_DEPTH deep.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 
 from .codes import label_classes
 from .errors import (BoundaryMismatch, DimensionMismatch, ParseError,
                      ValidationError)
-from .fields import (GenericTField, Mat, _fraction_free, column_space_equal,
-                     kernel_basis, mat_identity, mat_mul)
-from .laurent import LaurentPoly, canonical_poly
+from .fields import (Mat, _fraction_free, column_space_equal, kernel_basis,
+                     mat_identity, mat_mul)
+from .laurent import LaurentPoly, canonical_poly, exact_div
 # unused here; perfbench/layertrace.py traces tangles.smith_normal_form
 from .snf import smith_normal_form  # noqa: F401
 
@@ -197,19 +197,18 @@ def parse_tangle(text):
 
 
 class Span:
-    """Linear span src <- mid -> tgt over a scalar field."""
+    """Linear span src <- mid -> tgt over a scalar field: its two maps,
+    left (src x mid) and right (tgt x mid), which give the dimensions."""
 
     __slots__ = ("field", "src_dim", "tgt_dim", "mid_dim", "left", "right")
 
-    def __init__(self, field, src_dim, tgt_dim, mid_dim, left, right):
-        if left.nrows != src_dim or left.ncols != mid_dim:
-            raise DimensionMismatch("left map has the wrong shape")
-        if right.nrows != tgt_dim or right.ncols != mid_dim:
-            raise DimensionMismatch("right map has the wrong shape")
+    def __init__(self, field, left, right):
+        if left.ncols != right.ncols:
+            raise DimensionMismatch("left map has %d columns, right map %d"
+                                    % (left.ncols, right.ncols))
         self.field = field
-        self.src_dim = src_dim
-        self.tgt_dim = tgt_dim
-        self.mid_dim = mid_dim
+        self.src_dim, self.tgt_dim = left.nrows, right.nrows
+        self.mid_dim = left.ncols
         self.left = left
         self.right = right
 
@@ -220,7 +219,7 @@ class Span:
 
 def identity_span(field, n):
     ident = mat_identity(field, n)
-    return Span(field, n, n, n, ident, ident)
+    return Span(field, ident, ident)
 
 
 def generator_span(name, field):
@@ -229,20 +228,17 @@ def generator_span(name, field):
     if name in ("id+", "id-"):
         return identity_span(field, 1)
     if name == "xp":
-        left = mat_identity(field, 2)
-        right = Mat([[one - t, t], [one, zero]], 2)
-        return Span(field, 2, 2, 2, left, right)
+        return Span(field, mat_identity(field, 2),
+                    Mat([[one - t, t], [one, zero]], 2))
     if name == "xm":
         tinv = field.div(one, t)
-        left = mat_identity(field, 2)
-        right = Mat([[zero, one], [tinv, one - tinv]], 2)
-        return Span(field, 2, 2, 2, left, right)
+        return Span(field, mat_identity(field, 2),
+                    Mat([[zero, one], [tinv, one - tinv]], 2))
+    diag, empty = Mat([[one], [one]], 1), Mat([], 1)
     if name in ("ev+-", "ev-+"):
-        diag = Mat([[one], [one]], 1)
-        return Span(field, 2, 0, 1, diag, Mat([], 1))
+        return Span(field, diag, empty)
     if name in ("coev+-", "coev-+"):
-        diag = Mat([[one], [one]], 1)
-        return Span(field, 0, 2, 1, Mat([], 1), diag)
+        return Span(field, empty, diag)
     raise ParseError("unknown generator %r" % name)
 
 
@@ -260,9 +256,8 @@ def compose_spans(s1, s2):
     k = kernel_basis(field, glue)
     top = Mat(k.rows[: s1.mid_dim], k.ncols)
     bottom = Mat(k.rows[s1.mid_dim:], k.ncols)
-    left = mat_mul(field, s1.left, top)
-    right = mat_mul(field, s2.right, bottom)
-    return Span(field, s1.src_dim, s2.tgt_dim, k.ncols, left, right)
+    return Span(field, mat_mul(field, s1.left, top),
+                mat_mul(field, s2.right, bottom))
 
 
 def tensor_spans(*spans):
@@ -283,9 +278,7 @@ def tensor_spans(*spans):
             before += m.ncols
         return Mat(rows, mid)
 
-    return Span(field, sum(s.src_dim for s in spans),
-                sum(s.tgt_dim for s in spans), mid,
-                block([s.left for s in spans]),
+    return Span(field, block([s.left for s in spans]),
                 block([s.right for s in spans]))
 
 
@@ -322,23 +315,15 @@ def spans_equivalent(s1, s2):
 
 class BoundarySystem:
     """Whole-diagram linear system: one variable per arc, one crossing
-    equation per X generator, one gluing equation per composition seam;
-    `pairs` are the variables that lie on one strand."""
+    equation per X generator, one gluing equation per composition seam."""
 
-    __slots__ = ("nvars", "equations", "bottom", "top", "pairs")
+    __slots__ = ("nvars", "equations", "bottom", "top")
 
-    def __init__(self, nvars, equations, bottom, top, pairs):
+    def __init__(self, nvars, equations, bottom, top):
         self.nvars = nvars
         self.equations = equations
         self.bottom = bottom
         self.top = top
-        self.pairs = pairs
-
-    def circle_count(self):
-        """Connected components of the underlying strands."""
-        labels = label_classes(self.nvars,
-                               [(a + 1, b + 1) for a, b in self.pairs])
-        return max(labels.values(), default=0)
 
     def matrix_rows(self):
         """Equations as LaurentPoly coefficient rows."""
@@ -356,7 +341,6 @@ def tangle_system(expr):
     """Slice an expression into arcs and crossing/gluing equations."""
     t, one, tinv = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.monomial(-1)
     equations = []
-    pairs = []
     nvars = 0
 
     def fresh():
@@ -373,12 +357,10 @@ def tangle_system(expr):
             if name == "xp":
                 a1, a2, c = fresh(), fresh(), fresh()
                 equations.append({a2: t, a1: one - t, c: -one})
-                pairs.append((a2, c))
                 return [a1, a2], [c, a1]
             if name == "xm":
                 a1, a2, c = fresh(), fresh(), fresh()
                 equations.append({a1: tinv, a2: one - tinv, c: -one})
-                pairs.append((a1, c))
                 return [a1, a2], [a2, c]
             if name in ("ev+-", "ev-+"):
                 v = fresh()
@@ -395,7 +377,6 @@ def tangle_system(expr):
                 for x, y in zip(below, above):
                     if x != y:
                         equations.append({x: one, y: -one})
-                        pairs.append((x, y))
             return bottom, top
         if isinstance(node, Tensor):
             ends = list(map(walk, node.factors))
@@ -404,7 +385,7 @@ def tangle_system(expr):
         raise TypeError("not a tangle expression: %r" % (node,))
 
     bottom, top = walk(expr)
-    return BoundarySystem(nvars, equations, bottom, top, pairs)
+    return BoundarySystem(nvars, equations, bottom, top)
 
 
 def tangle_linear_system(expr, field):
@@ -417,8 +398,7 @@ def tangle_linear_system(expr, field):
     k = kernel_basis(field, matrix)
     left = Mat([k.rows[v] for v in system.bottom], k.ncols)
     right = Mat([k.rows[v] for v in system.top], k.ncols)
-    return Span(field, len(system.bottom), len(system.top), k.ncols,
-                left, right)
+    return Span(field, left, right)
 
 
 def closed_tangle_delta(expr):
@@ -435,17 +415,18 @@ def closed_tangle_delta(expr):
     n = max(arc.values(), default=0)
     if n <= 1:
         return LaurentPoly.one()
-    rows = []
-    for eq in system.equations:
-        if len(eq) == 3:
-            row = [LaurentPoly.zero()] * n
-            for var, coeff in eq.items():
-                row[arc[var + 1] - 1] += coeff
-            rows.append(row[:-1])
-    reduced, pivots = _fraction_free(GenericTField(),
-                                     Mat(rows[: n - 1], n - 1), full=False)
+    zero, rows = LaurentPoly.zero(), []
+    crossings = (eq for eq in system.equations if len(eq) == 3)
+    for eq in islice(crossings, n - 1):
+        row = {}
+        for var, coeff in eq.items():
+            j = arc[var + 1] - 1
+            if j < n - 1:
+                row[j] = row.get(j, zero) + coeff
+        rows.append({j: x for j, x in row.items() if x})
+    reduced, pivots = _fraction_free(rows, n - 1, exact_div, full=False)
     if len(pivots) < n - 1:
-        return LaurentPoly.zero()
+        return zero
     return canonical_poly(reduced[n - 2][pivots[-1]])
 
 

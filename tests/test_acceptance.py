@@ -14,7 +14,7 @@ from alexkit.alexander import (alexander_data, alexander_matrix,
                                VirtualClassPoly)
 from alexkit.burau import burau_reduced, burau_unreduced, closure_alexander
 from alexkit.codes import BraidWord, braid_closure, catalog_lookup
-from alexkit.fields import GenericTField, RationalPoint
+from alexkit.fields import ComplexPoint, GenericTField, RationalPoint
 from alexkit.fox import (AbelianWeights, fox_derivative_abelianized,
                          reduce_word)
 from alexkit.laurent import (LaurentPoly, exact_div, normalize_unit,
@@ -84,7 +84,7 @@ def test_fibre_dimensions():
     assert len(roots) == 2
     for root in roots:
         assert abs(delta.evaluate(complex(root))) < 1e-9
-        assert fibre_dimension(m, complex(root), tol=1e-6) == 2
+        assert fibre_dimension(m, ComplexPoint(complex(root), 1e-6)) == 2
 
 
 @criterion(4, "Fox derivative of x1^2 x2 x1^-1 is (1 + t - t^2, t^2)")

@@ -19,6 +19,7 @@ from alexkit.codes import (BraidWord, braid_closure, catalog_lookup,
 from alexkit.cli import run
 from alexkit.errors import (NotAUnit, RouteDisagreement,
                             UseMultivariableRoute, UseUnivariateRoute)
+from alexkit.fields import ComplexPoint
 from alexkit.fox import AbelianWeights
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              distinct_root_count, gcd_multivariate,
@@ -253,7 +254,7 @@ def test_fibre_dimension_trefoil():
     assert fibre_dimension(m, Fraction(2)) == 1
     assert fibre_dimension(m, Fraction(-1)) == 1
     root = complex(0.5, np.sqrt(3) / 2)  # zero of t^2 - t + 1
-    assert fibre_dimension(m, root, tol=1e-6) == 2
+    assert fibre_dimension(m, ComplexPoint(root, 1e-6)) == 2
     with pytest.raises(NotAUnit):
         fibre_dimension(m, 0)
 

@@ -32,6 +32,10 @@ def test_braid_word_validation():
         BraidWord(2, [2])
     with pytest.raises(ValidationError):
         BraidWord(0)
+    with pytest.raises(ValidationError):
+        BraidWord(2, ["a"])
+    with pytest.raises(TypeError):
+        BraidWord(2, [None])
 
 
 def test_permutation_and_components():

@@ -14,13 +14,14 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from alexkit.alexander import alexander_matrix, fibre_dimension
-from alexkit.codes import catalog_lookup
+from alexkit.codes import braid_closure, catalog_lookup, parse_braid
 from alexkit.errors import DimensionMismatch, NotAUnit, ValidationError
 from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
                             _fraction_free, column_space_equal, kernel_basis,
                             mat_mul, mat_rank)
 from alexkit.laurent import LaurentPoly, exact_div, gcd_laurent
-from alexkit.tangles import braid_expr, tangle_system
+from alexkit.tangles import (braid_expr, evaluate_tangle, parse_tangle,
+                             tangle_linear_system, tangle_system)
 from util import random_braid
 
 _t = sympy.symbols("t")
@@ -103,7 +104,8 @@ def _oracle(entries, ncols, t=None):
 def _rref(field, m):
     """Pivot rows of the full fraction-free pass as (entry, pivot) pairs
     of the integral ring; the RREF is entry / pivot."""
-    rows, pivots = _fraction_free(field, m, full=True)
+    rows, divide = field.integral_rows(m)
+    rows, pivots = _fraction_free(rows, m.ncols, divide, full=True)
     return [[(rows[r].get(j, 0), rows[r][col]) for j in range(m.ncols)]
             for r, col in enumerate(pivots)], tuple(pivots)
 
@@ -234,7 +236,8 @@ def _dense_fraction_free(field, m, full):
 
 def _assert_same_as_dense(field, m):
     for full in (True, False):
-        rows, pivots = _fraction_free(field, m, full)
+        rows, divide = field.integral_rows(m)
+        rows, pivots = _fraction_free(rows, m.ncols, divide, full)
         want_rows, want_pivots = _dense_fraction_free(field, m, full)
         assert pivots == want_pivots
         assert len(rows) == len(want_rows)
@@ -328,6 +331,52 @@ def test_non_finite_points_are_validation_errors(t):
     m = alexander_matrix(catalog_lookup("trefoil").crossing_list)
     with pytest.raises(ValidationError):
         fibre_dimension(m, t)
+
+
+def test_malformed_points_are_validation_errors():
+    """A string that is no number is a ValidationError (exit 2), at both
+    fixed fields and in fibre_dimension; a value of the wrong type is
+    still a TypeError."""
+    m = alexander_matrix(catalog_lookup("trefoil").crossing_list)
+    for make in (RationalPoint, ComplexPoint,
+                 lambda t: fibre_dimension(m, t)):
+        with pytest.raises(ValidationError) as err:
+            make("x")
+        assert err.value.exit_code == 2
+    with pytest.raises(ValidationError):
+        RationalPoint("1/0")
+    for make in (RationalPoint, ComplexPoint):
+        with pytest.raises(TypeError):
+            make(None)
+
+
+# Far from |t| = 1 the singular values of an exact rank-deficient matrix
+# fall like |t|^-k, past the SVD's relative tolerance, and complex t
+# answers with the wrong dimension; exact complex t is the cure.
+_EXTREME_T = [
+    ("fiber", 1e-10 + 0j, Fraction(1, 10 ** 10)),
+    ("fiber", 1e10 + 0j, Fraction(10 ** 10)),
+    ("span", 1e10 + 0j, Fraction(10 ** 10)),
+    ("linear", 1e-10 + 0j, Fraction(1, 10 ** 10)),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="SVD rank at complex t far from "
+                                       "|t| = 1")
+@pytest.mark.parametrize("kind,z,q", _EXTREME_T,
+                         ids=["%s-%g" % (k, z.real) for k, z, _ in _EXTREME_T])
+def test_complex_t_far_from_unit_circle(kind, z, q):
+    """The answer at complex t should be the exact one at the rational
+    q nearest it: the fibre of 3: s1 S2 s1 S2 is 1 there, and a braid's
+    span has mid 2 at every t."""
+    if kind == "fiber":
+        m = alexander_matrix(braid_closure(parse_braid("3: s1 S2 s1 S2")))
+        assert fibre_dimension(m, z) == fibre_dimension(m, q) == 1
+    else:
+        route = evaluate_tangle if kind == "span" else tangle_linear_system
+        expr = parse_tangle("xp ; xm ; xp")
+        assert (route(expr, ComplexPoint(z)).mid_dim
+                == route(expr, RationalPoint(q)).mid_dim == 2)
 
 
 def _random_laurent_matrix(rng):

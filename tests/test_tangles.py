@@ -18,7 +18,7 @@ from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
 from alexkit.laurent import LaurentPoly, canonical_poly, normalize_unit
 from alexkit.snf import smith_normal_form
 from alexkit.tangles import (Compose, Gen, Tensor, braid_closure_expr,
-                             MAX_DEPTH, braid_expr, closed_tangle_delta,
+                             MAX_DEPTH, Span, braid_expr, closed_tangle_delta,
                              compose_spans, evaluate_tangle, generator_span,
                              identity_span, parse_tangle,
                              spans_equivalent, tangle_linear_system,
@@ -132,6 +132,13 @@ def test_generator_span_dims():
     for name, (src, tgt) in GENERATOR_TYPES.items():
         s = evaluate_tangle(Gen(name), f)
         assert (s.src_dim, s.tgt_dim) == (len(src), len(tgt)), name
+    # a span is its two maps: they give the dimensions, and must share mid
+    one, zero = f.one, f.zero
+    s = Span(f, Mat([[one, zero], [zero, one], [one, one]], 2),
+             Mat([[one, one]], 2))
+    assert (s.src_dim, s.mid_dim, s.tgt_dim) == (3, 2, 1)
+    with pytest.raises(DimensionMismatch):
+        Span(f, Mat([[one, zero]], 2), Mat([[one]], 1))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.describe())
@@ -345,13 +352,6 @@ def test_unlink_mid_dim_and_delta():
     expr = braid_closure_expr(BraidWord(2))
     assert evaluate_tangle(expr, GenericTField()).mid_dim == 2
     assert closed_tangle_delta(expr).is_zero
-
-
-def test_tangle_system_circles():
-    sys0 = tangle_system(parse_tangle("coev+- ; ev+-"))
-    assert sys0.circle_count() == 1
-    sys2 = tangle_system(braid_closure_expr(BraidWord(2)))
-    assert sys2.circle_count() == 2
 
 
 def test_braid_expr_boundaries():
