@@ -305,12 +305,7 @@ def knot_delta(d):
     """Delta^1 = d1...d_{n-1} of a crossing list through the Fox route,
     0 with fewer invariant factors (any component count; all weights set
     to the single variable t)."""
-    s = d.component_count
-    if s == 1:
-        m = alexander_matrix(d)
-    else:
-        m = alexander_matrix(
-            d, AbelianWeights.all_t(range(1, d.arc_count + 1)))
+    m = alexander_matrix(d, AbelianWeights.all_t(range(1, d.arc_count + 1)))
     factors = smith_normal_form(m.univariate_rows())
     factors += [LaurentPoly.zero()] * (m.arc_count - 1 - len(factors))
     return canonical_poly(math.prod(factors, start=LaurentPoly.one()))

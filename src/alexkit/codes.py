@@ -11,7 +11,7 @@ import re
 
 from .errors import (AmbiguousOrientation, NotFound, ParseError,
                      ValidationError)
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _int
 
 
 def _strip_comments(text):
@@ -25,12 +25,8 @@ class BraidWord:
     __slots__ = ("strands", "letters")
 
     def __init__(self, strands, letters=()):
-        try:
-            strands = int(strands)
-            letters = tuple(int(x) for x in letters)
-        except ValueError as exc:
-            raise ValidationError("braid strands and letters must be "
-                                  "integers: %s" % exc)
+        strands = _int(strands, "strand count")
+        letters = tuple(_int(x, "braid letter") for x in letters)
         if strands < 1:
             raise ValidationError("braid needs at least one strand")
         for x in letters:
@@ -83,17 +79,10 @@ def parse_braid(text):
         raise ParseError("strand count must be >= 1", position=0)
     letters = []
     for idx, tok in enumerate(rest.split()):
-        m = re.fullmatch(r"s([0-9]+)", tok)
-        if m:
-            val = int(m.group(1))
-        else:
-            m = re.fullmatch(r"S([0-9]+)", tok)
-            if m:
-                val = -int(m.group(1))
-            elif re.fullmatch(r"[+-]?[0-9]+", tok):
-                val = int(tok)
-            else:
-                raise ParseError("bad braid token %r" % tok, position=idx + 1)
+        m = re.fullmatch(r"(s|S|[+-]?)([0-9]+)", tok)
+        if not m:
+            raise ParseError("bad braid token %r" % tok, position=idx + 1)
+        val = -int(m[2]) if m[1] in ("S", "-") else int(m[2])
         if val == 0 or abs(val) >= strands:
             raise ParseError("generator index out of range in %r" % tok,
                              position=idx + 1)
@@ -132,9 +121,9 @@ class Crossing:
     def __init__(self, under_in, over, under_out, sign):
         if sign not in (1, -1):
             raise ValidationError("crossing sign must be +-1")
-        self.under_in = int(under_in)
-        self.over = int(over)
-        self.under_out = int(under_out)
+        self.under_in = _int(under_in, "arc")
+        self.over = _int(over, "arc")
+        self.under_out = _int(under_out, "arc")
         self.sign = sign
 
     def astuple(self):
@@ -158,7 +147,7 @@ class CrossingList:
     __slots__ = ("arc_count", "crossings", "components")
 
     def __init__(self, arc_count, crossings=()):
-        arc_count = int(arc_count)
+        arc_count = _int(arc_count, "arc count")
         if arc_count < 1:
             raise ValidationError("a diagram needs at least one arc")
         crossings = tuple(crossings)
@@ -179,9 +168,9 @@ class CrossingList:
             under_in_seen[c.under_in] = c
         # closed diagram: an arc either ends under a crossing on both
         # sides or is a free loop
-        for arc in range(1, arc_count + 1):
-            if (arc in under_out_seen) != (arc in under_in_seen):
-                raise ValidationError("arc %d has a loose end" % arc)
+        loose = under_out_seen.keys() ^ under_in_seen.keys()
+        if loose:
+            raise ValidationError("arc %d has a loose end" % min(loose))
         self.arc_count = arc_count
         self.crossings = crossings
         self.components = label_classes(
@@ -326,30 +315,26 @@ class CatalogEntry:
         self.delta = delta
 
 
-def _lp(coeffs):
-    return LaurentPoly(coeffs)
-
-
 _CATALOG = {
     "unknot": CatalogEntry(
-        "unknot", "1:", "arcs 1", _lp({0: 1})),
+        "unknot", "1:", "arcs 1", LaurentPoly({0: 1})),
     "trefoil": CatalogEntry(
         "trefoil", "2: s1 s1 s1",
         "arcs 3\nx 3 2 1 +\nx 1 3 2 +\nx 2 1 3 +",
-        _lp({0: 1, 1: -1, 2: 1})),
+        LaurentPoly({0: 1, 1: -1, 2: 1})),
     "figure8": CatalogEntry(
         "figure8", "3: s1 S2 s1 S2",
         # from the standard 4-crossing planar diagram of the figure-eight
         "arcs 4\nx 2 1 3 -\nx 4 3 1 -\nx 3 2 4 +\nx 1 4 2 +",
-        _lp({0: 1, 1: -3, 2: 1})),
+        LaurentPoly({0: 1, 1: -3, 2: 1})),
     "hopf": CatalogEntry(
         "hopf", "2: s1 s1",
         "arcs 2\nx 2 1 2 +\nx 1 2 1 +",
-        _lp({0: 1, 1: -1})),
+        LaurentPoly({0: 1, 1: -1})),
     "solomon": CatalogEntry(
         "solomon", "2: s1 s1 s1 s1",
         "arcs 4\nx 2 1 3 +\nx 1 3 4 +\nx 3 4 2 +\nx 4 2 1 +",
-        _lp({0: 1, 1: -1, 2: 1, 3: -1})),
+        LaurentPoly({0: 1, 1: -1, 2: 1, 3: -1})),
 }
 
 

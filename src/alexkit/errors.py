@@ -7,6 +7,9 @@ ones that are part of its contract:
   `exact_div`, `pseudo_divmod` and `mv_exact_div`;
 - `TypeError` for an argument of the wrong type, such as
   `evaluate_tangle(1, field)` or `RationalPoint(None)`.
+A non-integral number where an integer is expected raises
+`ValidationError`, unequal variable counts `DimensionMismatch`, and
+`to_laurent` of several variables `UseMultivariableRoute`.
 """
 
 
@@ -27,8 +30,7 @@ class ZeroPolynomial(AlexkitError):
 class NotAUnit(AlexkitError):
     """An element that must be invertible is not.
 
-    Raised for the evaluation point t = 0; for a division by anything but
-    a unit +-t^k at generic t; for a negative power, or the
+    Raised for the evaluation point t = 0; for a negative power, or the
     `term_inverse`, of a polynomial that is not +-t^k (a +-monomial in
     several variables); and for a Fox weight that is not a +-monomial.
     """

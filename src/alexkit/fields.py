@@ -3,12 +3,13 @@ matrix routines used by span composition: kernels, ranks, column spaces.
 
 At generic t the scalars are Laurent polynomials in Z[t^+-1]: a span is
 fixed only up to column scaling, so its maps can stay Laurent matrices,
-and the only division the generators need is by the unit t.  Exact
-kernels and ranks use one fraction-free elimination: each exact field
-gives its rows over an integral ring, Z at a rational t (scaled by their
-denominators) and Z[t^+-1] at generic t, as sparse {column: entry} maps
-of their nonzero entries, and turns each kernel column of that ring into
-its scalars at the end.  The SVD, and so numpy, runs only at complex t.
+and besides t the generators need only the unit t^-1, which every field
+holds as `tinv`.  Exact kernels and ranks use one fraction-free
+elimination: each exact field gives its rows over an integral ring, Z at
+a rational t (scaled by their denominators) and Z[t^+-1] at generic t,
+as sparse {column: entry} maps of their nonzero entries, and turns each
+kernel column of that ring into its scalars at the end.  The SVD, and so
+numpy, runs only at complex t.
 """
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotAUnit, ValidationError
-from .laurent import LaurentPoly, exact_div, gcd_laurent
+from .laurent import LaurentPoly, _int, exact_div, gcd_laurent
 
 
 class ScalarField:
     """Ring of scalars at which a tangle or braid is evaluated, holding
-    its value of t as `t`; scalars combine by the arithmetic operators.
+    its value of t as `t` and that value's inverse as `tinv`; scalars
+    combine by the arithmetic operators.
     The shared bodies serve the fixed points t, whose scalars are numbers.
 
     An exact field also maps a Mat to sparse integral rows, returning
@@ -31,9 +33,6 @@ class ScalarField:
     turns a kernel column of that ring into scalars (`kernel_column`)."""
 
     exact = True
-
-    def div(self, a, b):
-        return a / b
 
     def from_laurent(self, p):
         return p.evaluate(self.t)
@@ -44,17 +43,13 @@ class ScalarField:
 
 class GenericTField(ScalarField):
     """Laurent polynomials in t with integer coefficients: the generic
-    fibre.  Only units +-t^k can be divided by."""
+    fibre."""
 
     def __init__(self):
         self.t = LaurentPoly.t()
+        self.tinv = LaurentPoly.monomial(-1)
         self.zero = LaurentPoly.zero()
         self.one = LaurentPoly.one()
-
-    def div(self, a, b):
-        if not b.is_unit():
-            raise NotAUnit("cannot divide by %s at generic t" % b.render())
-        return a * b ** -1
 
     def from_laurent(self, p):
         return p
@@ -93,6 +88,7 @@ class RationalPoint(ScalarField):
         self.t = t
         self.zero = Fraction(0)
         self.one = Fraction(1)
+        self.tinv = self.one / t
 
     def integral_rows(self, m):
         """Each row's nonzero entries times the lcm of their denominators:
@@ -118,8 +114,9 @@ class ComplexPoint(ScalarField):
     def __init__(self, t, tol=1e-9):
         try:
             t = complex(t)
-        except ValueError:
-            raise ValidationError("t = %r is not a complex number" % (t,))
+        except (ValueError, OverflowError):  # OverflowError: a huge int
+            raise ValidationError("t = %r is not a complex number in float "
+                                  "range" % (t,))
         if not cmath.isfinite(t):
             raise ValidationError("t = %r is not a finite evaluation point"
                                   % t)
@@ -129,6 +126,7 @@ class ComplexPoint(ScalarField):
         self.tol = tol
         self.zero = 0j
         self.one = 1 + 0j
+        self.tinv = self.one / t
 
 
 class Mat:
@@ -138,6 +136,7 @@ class Mat:
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows, ncols):
+        ncols = _int(ncols, "column count")
         self.rows = tuple(tuple(r) for r in rows)
         for r in self.rows:
             if len(r) != ncols:

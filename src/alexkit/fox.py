@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .errors import NotAUnit, UnknownGenerator
-from .laurent import MultiLaurentPoly
+from .errors import (DimensionMismatch, NotAUnit, UnknownGenerator,
+                     ValidationError)
+from .laurent import MultiLaurentPoly, _int, _nvars
 
 
 class FreeWord:
@@ -20,15 +21,16 @@ class FreeWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        letters = tuple((int(g), int(e)) for g, e in letters)
+        letters = tuple((_int(g, "generator index"), _int(e, "exponent"))
+                        for g, e in letters)
         for g, e in letters:
             if g < 1:
-                raise ValueError("generator indices start at 1")
+                raise ValidationError("generator indices start at 1")
             if e not in (1, -1):
-                raise ValueError("exponents must be +-1")
+                raise ValidationError("exponents must be +-1")
         for (g1, e1), (g2, e2) in zip(letters, letters[1:]):
             if g1 == g2 and e1 == -e2:
-                raise ValueError("word is not freely reduced")
+                raise ValidationError("word is not freely reduced")
         self.letters = letters
 
     def __eq__(self, other):
@@ -63,11 +65,10 @@ def reduce_word(raw):
         if isinstance(item, tuple):
             g, e = item
         else:
-            g, e = abs(int(item)), (1 if int(item) > 0 else -1)
-            if item == 0:
-                raise ValueError("generator index 0 is not allowed")
+            item = _int(item, "letter")
+            g, e = abs(item), (1 if item > 0 else -1)
         if g < 1:
-            raise ValueError("generator indices start at 1")
+            raise ValidationError("generator indices start at 1")
         if stack and stack[-1] == (g, -e):
             stack.pop()
         else:
@@ -82,10 +83,10 @@ class AbelianWeights:
 
     def __init__(self, assignment, nvars):
         self.assignment = dict(assignment)
-        self.nvars = nvars
+        self.nvars = nvars = _nvars(nvars)
         for g, w in self.assignment.items():
             if w.nvars != nvars:
-                raise ValueError("weight variable count mismatch")
+                raise DimensionMismatch("weight variable count mismatch")
             if not w.is_unit():
                 raise NotAUnit("weight %s is not a +-monomial" % w.render())
 
@@ -121,6 +122,7 @@ def fox_derivative_abelianized(w, i, weights):
     """{dw/dx_i}: single left-to-right pass with the running abelianized
     prefix; a letter x_i adds the prefix before it, x_i^-1 subtracts the
     prefix after it."""
+    i = _int(i, "generator index")
     exps, coeff = (0,) * weights.nvars, 1
     acc = {}
     for g, e in w.letters:

@@ -23,36 +23,52 @@ on the operands shifted to minimum exponent 0 in every variable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd as _int_gcd
+from numbers import Number
 from operator import add, sub
 
-from .errors import NotAUnit, ValidationError, ZeroPolynomial
+from .errors import (DimensionMismatch, NotAUnit, UseMultivariableRoute,
+                     ValidationError, ZeroPolynomial)
 
 _new_object = object.__new__
 
 
-def _int(c):
-    """A coefficient as an int; a non-integral one raises."""
+def _int(c, what="coefficient"):
+    """c as an int: an integral number such as 2.0 passes, another number
+    or a string raises ValidationError, any other type TypeError."""
     if type(c) is int:
         return c
     try:
         if c == int(c):
             return int(c)
-    except (TypeError, ValueError, OverflowError):
+    except TypeError:
+        if not isinstance(c, Number):
+            raise
+    except (ValueError, OverflowError):
         pass
-    raise ValidationError("non-integral coefficient %r" % (c,))
+    raise ValidationError("non-integral %s %r" % (what, c))
+
+
+_exponent = partial(_int, what="exponent")
+
+
+def _nvars(n):
+    """A variable count: an int >= 0."""
+    n = _int(n, "variable count")
+    if n < 0:
+        raise ValidationError("negative variable count %d" % n)
+    return n
 
 
 def _int_terms(coeffs, exponent):
     """The nonzero terms of a coefficient map, with int coefficients and
     each exponent passed through `exponent`."""
     data = {}
-    if coeffs:
-        for e, c in coeffs.items():
-            c = _int(c)
-            e = exponent(e)
-            if c:
-                data[e] = c
+    for e, c in (coeffs or {}).items():
+        c, e = _int(c), exponent(e)
+        if c:
+            data[e] = c
     return data
 
 
@@ -75,7 +91,7 @@ class _LaurentCore:
     _var = "t"
 
     def __init__(self, coeffs=None):
-        self.coeffs = _int_terms(coeffs, int)
+        self.coeffs = _int_terms(coeffs, _exponent)
 
     def _new(self, coeffs):
         """A polynomial of this one's ring holding the term map `coeffs`
@@ -114,35 +130,27 @@ class _LaurentCore:
     def __neg__(self):
         return self._new({e: -c for e, c in self.coeffs.items()})
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other in one pass over other's terms."""
         if type(other) is not type(self):
             return NotImplemented
         if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
+            raise DimensionMismatch("variable count mismatch")
         data = dict(self.coeffs)
         get = data.get
         for e, c in other.coeffs.items():
-            s = get(e, 0) + c
+            s = get(e, 0) + sign * c
             if s:
                 data[e] = s
             else:
                 del data[e]
         return self._new(data)
 
+    def __add__(self, other):
+        return self._combine(other, 1)
+
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        data = dict(self.coeffs)
-        get = data.get
-        for e, c in other.coeffs.items():
-            s = get(e, 0) - c
-            if s:
-                data[e] = s
-            else:
-                del data[e]
-        return self._new(data)
+        return self._combine(other, -1)
 
     def _varpart(self, e):
         return _var_power(self._var, e)
@@ -237,6 +245,7 @@ class LaurentPoly(_LaurentCore):
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        n = _int(n, "power")
         if n < 0:
             if not self.is_unit():
                 raise NotAUnit("negative power of %s, not +-t^k"
@@ -254,6 +263,7 @@ class LaurentPoly(_LaurentCore):
 
     def shifted(self, k):
         """Multiply by t^k."""
+        k = _int(k, "shift")
         return self._new({e + k: c for e, c in self.coeffs.items()})
 
     def derivative(self):
@@ -266,8 +276,12 @@ class LaurentPoly(_LaurentCore):
             raise NotAUnit("cannot evaluate a Laurent polynomial at t = 0")
         if isinstance(x, (complex, float)):
             x = complex(x)
-            return sum((float(c) * x ** e for e, c in self.coeffs.items()),
-                       0j)
+            try:
+                return sum((float(c) * x ** e
+                            for e, c in self.coeffs.items()), 0j)
+            except (OverflowError, ZeroDivisionError):  # past the floats
+                raise ValidationError("complex t=%s is out of floating-point "
+                                      "range" % x)
         x = Fraction(x)
         return sum((c * x ** e for e, c in self.coeffs.items()), Fraction(0))
 
@@ -383,10 +397,12 @@ class MultiLaurentPoly(_LaurentCore):
     __slots__ = ("nvars",)
 
     def __init__(self, coeffs=None, nvars=1):
+        nvars = _nvars(nvars)
+
         def exponent(exps):
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_exponent, exps))
             if len(exps) != nvars:
-                raise ValueError("exponent vector of wrong length")
+                raise ValidationError("exponent vector of wrong length")
             return exps
         self.coeffs = _int_terms(coeffs, exponent)
         self.nvars = nvars
@@ -402,25 +418,23 @@ class MultiLaurentPoly(_LaurentCore):
 
     @classmethod
     def zero(cls, nvars):
-        out = _new_object(cls)
-        out.coeffs = {}
-        out.nvars = nvars
-        return out
+        return cls({}, nvars)
 
     @classmethod
     def one(cls, nvars):
-        return cls({(0,) * nvars: 1}, nvars)
+        return cls.constant(1, nvars)
 
     @classmethod
     def constant(cls, c, nvars):
-        return cls({(0,) * nvars: c}, nvars)
+        return cls({(0,) * _nvars(nvars): c}, nvars)
 
     @classmethod
     def variable(cls, i, nvars):
         """The variable t_i (1-based)."""
-        exps = [0] * nvars
-        exps[i - 1] = 1
-        return cls({tuple(exps): 1}, nvars)
+        nvars, i = _nvars(nvars), _int(i, "variable index")
+        if not 1 <= i <= nvars:
+            raise ValidationError("no variable t%d among %d" % (i, nvars))
+        return cls({(0,) * (i - 1) + (1,) + (0,) * (nvars - i): 1}, nvars)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -433,7 +447,7 @@ class MultiLaurentPoly(_LaurentCore):
 
     def to_laurent(self):
         if self.nvars != 1:
-            raise ValueError("not univariate")
+            raise UseMultivariableRoute("not univariate")
         return LaurentPoly({e: c for (e,), c in self.coeffs.items()})
 
     def set_all_equal(self):
@@ -461,7 +475,7 @@ class MultiLaurentPoly(_LaurentCore):
         if not isinstance(other, MultiLaurentPoly):
             return NotImplemented
         if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
+            raise DimensionMismatch("variable count mismatch")
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             a, b = b, a
@@ -489,6 +503,9 @@ class MultiLaurentPoly(_LaurentCore):
                      for i in range(self.nvars))
 
     def shifted(self, shifts):
+        shifts = tuple(map(_exponent, shifts))
+        if len(shifts) != self.nvars:
+            raise DimensionMismatch("shift vector of wrong length")
         return self._new({tuple(map(add, e, shifts)): c
                           for e, c in self.coeffs.items()})
 
@@ -547,7 +564,7 @@ def mv_exact_div(p, d):
     if d.is_zero:
         raise ZeroDivisionError("multivariate division by zero")
     if p.nvars != d.nvars:
-        raise ValueError("variable count mismatch")
+        raise DimensionMismatch("variable count mismatch")
     pmin, dmin = p.min_exps(), d.min_exps()
     rem = p.shifted(tuple(-e for e in pmin)).coeffs
     rest = d.shifted(tuple(-e for e in dmin)).coeffs
@@ -612,13 +629,6 @@ def _mv_pseudo_rem(a, b, nvars):
     return rem
 
 
-def _mv_primitive(parts, nvars):
-    if not parts:
-        return parts
-    content = _mv_content(parts, nvars - 1)
-    return _mv_scale_div(parts, content)
-
-
 def _mv_gcd(a, b):
     """Gcd of two nonzero multivariate Laurent polynomials."""
     a = mv_normalize(a)
@@ -637,7 +647,7 @@ def _mv_gcd(a, b):
     # primitive pseudo-remainder sequence in the last variable
     while pb:
         r = _mv_pseudo_rem(pa, pb, nvars)
-        pa, pb = pb, _mv_primitive(r, nvars)
+        pa, pb = pb, r and _mv_scale_div(r, _mv_content(r, nvars - 1))
     lifted = MultiLaurentPoly(
         {e + (0,): c for e, c in content.coeffs.items()}, nvars)
     return mv_normalize(lifted * _mv_join_last(pa, nvars))
@@ -647,11 +657,10 @@ def gcd_multivariate(polys):
     """Gcd of a non-empty list; all-zero input returns 0."""
     polys = list(polys)
     if not polys:
-        raise ValueError("gcd_multivariate of an empty list")
+        raise ValidationError("gcd_multivariate of an empty list")
     nvars = polys[0].nvars
-    for p in polys:
-        if p.nvars != nvars:
-            raise ValueError("variable count mismatch")
+    if any(p.nvars != nvars for p in polys):
+        raise DimensionMismatch("variable count mismatch")
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:
         return MultiLaurentPoly.zero(nvars)

@@ -49,7 +49,7 @@ def _primitive_row(row):
     flat = _primitive_coeffs({(k, e): c for k, x in row.items()
                               for e, c in x.coeffs.items()})
     for k, x in row.items():
-        row[k] = LaurentPoly({e: flat[k, e] for e in x.coeffs})
+        row[k] = x._new({e: flat[k, e] for e in x.coeffs})
 
 
 def smith_normal_form(rows):

@@ -8,8 +8,9 @@ any length is one node, and only parentheses nest, at most MAX_DEPTH deep.
 """
 from __future__ import annotations
 
+import re
 from functools import reduce
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 
 from .codes import label_classes
 from .errors import (BoundaryMismatch, DimensionMismatch, ParseError,
@@ -105,31 +106,21 @@ class Tensor(_Chain):
                          [s for f in factors for s in f.target])
 
 
-_GEN_NAMES = sorted(GENERATOR_TYPES, key=len, reverse=True)
+# After optional whitespace: the longest generator name that matches or one
+# of "();#", else up to eight characters of unexpected input, else the end.
+_TOKEN = re.compile(r"\s*(?:(%s|[();#])|(.{1,8})|\Z)" % "|".join(
+    map(re.escape, sorted(GENERATOR_TYPES, key=len, reverse=True))),
+    re.DOTALL)
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "();#":
-            tokens.append((ch, pos))
-            pos += 1
-            continue
-        matched = None
-        for name in _GEN_NAMES:
-            if text.startswith(name, pos):
-                matched = name
-                break
-        if matched is None:
-            raise ParseError("unexpected input %r" % text[pos:pos + 8],
-                             position=pos)
-        tokens.append((matched, pos))
-        pos += len(matched)
+    for m in _TOKEN.finditer(text):
+        tok, bad = m.groups()
+        if bad:
+            raise ParseError("unexpected input %r" % bad, position=m.start(2))
+        if tok:
+            tokens.append((tok, m.start(1)))
     return tokens
 
 
@@ -224,14 +215,13 @@ def identity_span(field, n):
 
 def generator_span(name, field):
     """Spans of the elementary tangles at the field's value of t."""
-    one, zero, t = field.one, field.zero, field.t
+    one, zero, t, tinv = field.one, field.zero, field.t, field.tinv
     if name in ("id+", "id-"):
         return identity_span(field, 1)
     if name == "xp":
         return Span(field, mat_identity(field, 2),
                     Mat([[one - t, t], [one, zero]], 2))
     if name == "xm":
-        tinv = field.div(one, t)
         return Span(field, mat_identity(field, 2),
                     Mat([[zero, one], [tinv, one - tinv]], 2))
     diag, empty = Mat([[one], [one]], 1), Mat([], 1)
@@ -341,12 +331,8 @@ def tangle_system(expr):
     """Slice an expression into arcs and crossing/gluing equations."""
     t, one, tinv = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.monomial(-1)
     equations = []
-    nvars = 0
-
-    def fresh():
-        nonlocal nvars
-        nvars += 1
-        return nvars - 1
+    variables = count()  # numbers the arcs 0, 1, 2, ...
+    fresh = variables.__next__
 
     def walk(node):
         if isinstance(node, Gen):
@@ -365,10 +351,8 @@ def tangle_system(expr):
             if name in ("ev+-", "ev-+"):
                 v = fresh()
                 return [v, v], []
-            if name in ("coev+-", "coev-+"):
-                v = fresh()
-                return [], [v, v]
-            raise ValueError(name)
+            v = fresh()  # coev+- or coev-+, the last names Gen admits
+            return [], [v, v]
         if isinstance(node, Compose):
             bottom, top = walk(node.factors[0])
             for factor in node.factors[1:]:
@@ -385,7 +369,7 @@ def tangle_system(expr):
         raise TypeError("not a tangle expression: %r" % (node,))
 
     bottom, top = walk(expr)
-    return BoundarySystem(nvars, equations, bottom, top)
+    return BoundarySystem(next(variables), equations, bottom, top)
 
 
 def tangle_linear_system(expr, field):

@@ -205,7 +205,8 @@ def test_exit_codes(capsys):
                   "xp ; xm ; xp"],
                  ["fiber", "--t=1e308+1e308i", "2: s1 s1 s1"],
                  ["span", "--format", "dsl", "--t=1e-320+0i",
-                  "xp ; xm ; xp"]):
+                  "xp ; xm ; xp"],
+                 ["span", "--t=1e200+0i", "3: s1 S2 s1 S2"]):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: complex t=") and err.count("\n") == 1

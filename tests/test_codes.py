@@ -18,10 +18,12 @@ def test_parse_braid_tokens():
     assert b == BraidWord(3, [1, -2, -1, 2])
     assert parse_braid("1:") == BraidWord(1)
     assert parse_braid(b.render()) == b
+    assert parse_braid("4: +3 s01 S02 -03") == BraidWord(4, [3, 1, -2, -3])
 
 
 @pytest.mark.parametrize("text", ["s1 s2", "0: s1", "2: s2", "2: s0",
-                                  "2: q1", "x: s1"])
+                                  "2: q1", "x: s1", "2: S0", "2: -0",
+                                  "3: s+1", "3: s1 S-1", "3: +-1", "3: s 1"])
 def test_parse_braid_rejects(text):
     with pytest.raises(ParseError):
         parse_braid(text)

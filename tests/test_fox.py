@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from alexkit.errors import UnknownGenerator
+from alexkit.errors import UnknownGenerator, ValidationError
 from alexkit.fox import (AbelianWeights, FreeWord, abelianize,
                          fox_derivative_abelianized, reduce_word)
 from alexkit.laurent import LaurentPoly, MultiLaurentPoly
@@ -27,9 +27,9 @@ def test_reduce_word():
     assert reduce_word([1, 2, -2, -1]) == FreeWord()
     assert reduce_word([1, 1, -2]) == FreeWord([(1, 1), (1, 1), (2, -1)])
     assert reduce_word([(3, 1), (3, -1)]) == FreeWord()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         reduce_word([0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         FreeWord([(1, 1), (1, -1)])  # not freely reduced
 
 

@@ -49,6 +49,17 @@ def test_parse_errors():
         parse_tangle("xp ; id+")
     with pytest.raises(BoundaryMismatch):
         parse_tangle("ev+- ; ev-+")
+    # whitespace, \x1c among it, is skipped before the offending input;
+    # a name cut short is unexpected input, up to eight characters of it
+    for text, bad, pos in (("  ?xp", "?xp", 2), ("xp ;\t ! ", "! ", 6),
+                           ("xp\x1c$", "$", 3),
+                           ("\x1c\x1c xp ; coev", "coev", 8),
+                           ("xp ; coev-xp ; id+#xm ; xp", "coev-xp ", 5)):
+        with pytest.raises(ParseError) as err:
+            parse_tangle(text)
+        assert err.value.position == pos
+        assert str(err.value) == "unexpected input %r (at position %d)" % (
+            bad, pos)
 
 
 def _nested(depth):
