@@ -144,9 +144,11 @@ class AlexanderData:
         return self.delta_k[0]
 
 
-def _invariants(m):
-    """Smith invariant factors d1 | d2 | ... of m, and Delta^1..Delta^n
-    with Delta^k = d1...d_{n-k} from the running products d1, d1 d2, ....
+def alexander_data(m):
+    """Smith invariant factors d1 | d2 | ... of m, Delta^1..Delta^n with
+    Delta^k = d1...d_{n-k} from the running products d1, d1 d2, ..., and
+    the strata: k with the count of roots of Delta^k that are not roots
+    of Delta^(k+1).
 
     Delta^k := 1 when the requested minor size is 0 (k >= n) and := 0
     when minors of that size do not exist or all vanish (split links).
@@ -159,14 +161,6 @@ def _invariants(m):
         delta_k.append(canonical_poly(prod))
     delta_k += [LaurentPoly.zero()] * (m.arc_count - len(delta_k))
     delta_k.reverse()
-    return factors, delta_k
-
-
-def alexander_data(m):
-    """Delta^k and invariant factors from the Smith normal form, and the
-    strata: k with the count of roots of Delta^k that are not roots of
-    Delta^(k+1)."""
-    factors, delta_k = _invariants(m)
     roots = [None if p.is_zero else distinct_root_count(p) for p in delta_k]
     strata = []
     for k in range(1, m.arc_count):

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from .errors import EmptyMatrix, RouteDisagreement, ValidationError
 from .fields import Mat, kernel_basis
-from .laurent import LaurentPoly, canonical_poly, normalize_unit
+from .laurent import LaurentPoly, _Value, canonical_poly, normalize_unit
 from .snf import poly_det
 from .tangles import Span
 
 
-class BurauMatrix:
+class BurauMatrix(_Value):
     """n x n matrix of Laurent polynomials; rows sum to 1."""
 
     __slots__ = ("rows", "strands")
@@ -20,10 +20,8 @@ class BurauMatrix:
         self.rows = tuple(tuple(r) for r in rows)
         self.strands = strands
 
-    def __eq__(self, other):
-        if not isinstance(other, BurauMatrix):
-            return NotImplemented
-        return self.strands == other.strands and self.rows == other.rows
+    def _key(self):
+        return self.strands, self.rows
 
     def __repr__(self):
         return "BurauMatrix<%dx%d>" % (self.strands, self.strands)

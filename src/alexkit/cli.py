@@ -1,7 +1,8 @@
 """Command-line front end: `alexkit <verb> [--format F] [--t T] [--json]
 [--file P | <inline input>]`.
 
-Each verb but `selftest` is one handler in `_HANDLERS`.  A failure
+Each verb but `selftest` is one handler in `_HANDLERS`, which reads the
+formats listed with it; another `--format` is a ParseError.  A failure
 prints `error: <message>` on stderr and exits with the error's
 `AlexkitError.exit_code`: 2 for parse and validation errors, 1 when routes
 disagree, 3 for the other domain errors.  Under `--file` each failing line
@@ -58,13 +59,11 @@ def parse_t_spec(text):
 
 
 def _load_diagram(fmt, text):
-    if fmt == "braid":
-        return braid_closure(parse_braid(text))
     if fmt == "xcode":
         return parse_crossing_list(text)
     if fmt == "pd":
         return parse_pd(text)
-    raise ParseError("format %r does not describe a diagram" % fmt)
+    return braid_closure(parse_braid(text))
 
 
 def _poly_json(p):
@@ -79,11 +78,9 @@ def _poly_json(p):
 
 def _alexander(text, fmt, field):
     diagram = _load_diagram(fmt, text)
-    if diagram.component_count == 1:
-        delta = knot_delta(diagram)
-        return {"delta": _poly_json(delta)}, delta.render()
-    mv = multivariable_alexander(diagram)
-    return {"delta": _poly_json(mv)}, mv.render()
+    delta = (knot_delta if diagram.component_count == 1
+             else multivariable_alexander)(diagram)
+    return {"delta": _poly_json(delta)}, delta.render()
 
 
 def _burau(text, fmt, field):
@@ -140,15 +137,13 @@ def _ring(text, fmt, field):
 def _span(text, fmt, field):
     if fmt == "dsl":
         span = evaluate_tangle(parse_tangle(text), field)
-    elif fmt == "braid":
+    else:
         b = parse_braid(text)
         m = burau_mod.burau_unreduced(b)
         rows = [[field.from_laurent(entry) for entry in row]
                 for row in m.rows]
         span = Span(field, mat_identity(field, b.strands),
                     Mat(rows, b.strands))
-    else:
-        raise ParseError("span needs --format dsl or braid")
     return ({"span": {"src": span.src_dim, "mid": span.mid_dim,
                       "tgt": span.tgt_dim}},
             "src=%d mid=%d tgt=%d" % (span.src_dim, span.mid_dim,
@@ -170,13 +165,18 @@ def _catalog(text, fmt, field):
                           for e in entries)
 
 
-# verb -> handler(text, fmt, field) -> (JSON fields, text output).  The
-# handlers look up the library functions when called, so rebinding a
-# module attribute (as a tracer does) reaches them.
+_DIAGRAM = ("braid", "xcode", "pd")
+_FORMATS = _DIAGRAM + ("dsl",)
+
+# verb -> (handler(text, fmt, field) -> (JSON fields, text output), the
+# formats it reads).  The handlers look up the library functions when
+# called, so rebinding a module attribute (as a tracer does) reaches them.
 _HANDLERS = {
-    "alexander": _alexander, "burau": _burau, "fiber": _fiber,
-    "strata": _strata, "virtual-class": _virtual_class, "module": _module,
-    "ring": _ring, "span": _span, "closure": _closure, "catalog": _catalog,
+    "alexander": (_alexander, _DIAGRAM), "burau": (_burau, ("braid",)),
+    "fiber": (_fiber, _DIAGRAM), "strata": (_strata, _DIAGRAM),
+    "virtual-class": (_virtual_class, _DIAGRAM), "module": (_module, _DIAGRAM),
+    "ring": (_ring, _DIAGRAM), "span": (_span, ("dsl", "braid")),
+    "closure": (_closure, ("braid",)), "catalog": (_catalog, _FORMATS),
 }
 
 _VERBS = tuple(_HANDLERS) + ("selftest",)
@@ -184,9 +184,10 @@ _VERBS = tuple(_HANDLERS) + ("selftest",)
 
 def _run_verb(verb, text, fmt, field):
     """Returns (json_object, text_output)."""
-    if verb not in _HANDLERS:
-        raise ParseError("unknown verb %r" % verb)
-    obj, out = _HANDLERS[verb](text, fmt, field)
+    handler, formats = _HANDLERS[verb]
+    if fmt not in formats:
+        raise ParseError("%s needs --format %s" % (verb, " or ".join(formats)))
+    obj, out = handler(text, fmt, field)
     return {"verb": verb, "input": text or "", **obj}, out
 
 
@@ -242,7 +243,7 @@ def build_parser():
                     "spans, and Burau matrices.")
     parser.add_argument("verb", choices=_VERBS)
     parser.add_argument("--format", dest="fmt", default="braid",
-                        choices=("braid", "xcode", "pd", "dsl"))
+                        choices=_FORMATS)
     parser.add_argument("--t", dest="t_spec", default="generic")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--file", dest="path")

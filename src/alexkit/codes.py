@@ -11,24 +11,31 @@ import re
 
 from .errors import (AmbiguousOrientation, NotFound, ParseError,
                      ValidationError)
-from .laurent import LaurentPoly, _int
+from .laurent import LaurentPoly, _int, _size, _Value
 
 
 def _strip_comments(text):
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
-class BraidWord:
+def _number(digits, position):
+    """A digit string as an int; one past Python's digit limit for int
+    raises ParseError at `position`."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("%d-digit number is too long" % len(digits), position)
+
+
+class BraidWord(_Value):
     """Artin braid word on `strands` strands; letters are nonzero signed
     generator indices with |letter| < strands."""
 
     __slots__ = ("strands", "letters")
 
     def __init__(self, strands, letters=()):
-        strands = _int(strands, "strand count")
+        strands = _size(strands, "strand count", 1)
         letters = tuple(_int(x, "braid letter") for x in letters)
-        if strands < 1:
-            raise ValidationError("braid needs at least one strand")
         for x in letters:
             if x == 0 or abs(x) >= strands:
                 raise ValidationError("letter %d out of range for %d strands"
@@ -36,13 +43,8 @@ class BraidWord:
         self.strands = strands
         self.letters = letters
 
-    def __eq__(self, other):
-        if not isinstance(other, BraidWord):
-            return NotImplemented
-        return (self.strands, self.letters) == (other.strands, other.letters)
-
-    def __hash__(self):
-        return hash((self.strands, self.letters))
+    def _key(self):
+        return self.strands, self.letters
 
     def render(self):
         toks = ["s%d" % x if x > 0 else "S%d" % -x for x in self.letters]
@@ -74,15 +76,13 @@ def parse_braid(text):
     head = head.strip()
     if not re.fullmatch(r"[0-9]+", head):
         raise ParseError("bad strand count %r" % head, position=0)
-    strands = int(head)
-    if strands < 1:
-        raise ParseError("strand count must be >= 1", position=0)
+    strands = _number(head, 0)
     letters = []
     for idx, tok in enumerate(rest.split()):
         m = re.fullmatch(r"(s|S|[+-]?)([0-9]+)", tok)
         if not m:
             raise ParseError("bad braid token %r" % tok, position=idx + 1)
-        val = -int(m[2]) if m[1] in ("S", "-") else int(m[2])
+        val = _number(m[2], idx + 1) * (-1 if m[1] in ("S", "-") else 1)
         if val == 0 or abs(val) >= strands:
             raise ParseError("generator index out of range in %r" % tok,
                              position=idx + 1)
@@ -113,7 +113,7 @@ def label_classes(size, pairs):
     return labels
 
 
-class Crossing:
+class Crossing(_Value):
     """One crossing record (under_in, over, under_out, sign)."""
 
     __slots__ = ("under_in", "over", "under_out", "sign")
@@ -129,27 +129,19 @@ class Crossing:
     def astuple(self):
         return (self.under_in, self.over, self.under_out, self.sign)
 
-    def __eq__(self, other):
-        if not isinstance(other, Crossing):
-            return NotImplemented
-        return self.astuple() == other.astuple()
-
-    def __hash__(self):
-        return hash(self.astuple())
+    _key = astuple
 
     def __repr__(self):
         return "Crossing(%d, %d, %d, %+d)" % self.astuple()
 
 
-class CrossingList:
+class CrossingList(_Value):
     """Closed-diagram crossing data with derived component labels."""
 
     __slots__ = ("arc_count", "crossings", "components")
 
     def __init__(self, arc_count, crossings=()):
-        arc_count = _int(arc_count, "arc count")
-        if arc_count < 1:
-            raise ValidationError("a diagram needs at least one arc")
+        arc_count = _size(arc_count, "arc count", 1)
         crossings = tuple(crossings)
         under_in_seen = {}
         under_out_seen = {}
@@ -180,14 +172,8 @@ class CrossingList:
     def component_count(self):
         return max(self.components.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, CrossingList):
-            return NotImplemented
-        return (self.arc_count == other.arc_count
-                and self.crossings == other.crossings)
-
-    def __hash__(self):
-        return hash((self.arc_count, self.crossings))
+    def _key(self):
+        return self.arc_count, self.crossings
 
     def render(self):
         lines = ["arcs %d" % self.arc_count]
@@ -212,16 +198,21 @@ def parse_crossing_list(text):
     if not m:
         raise ParseError("expected 'arcs <n>' header, got %r" % lines[0],
                          position=1)
-    arc_count = int(m.group(1))
+    arc_count = _number(m[1], 1)
     crossings = []
     for lineno, ln in enumerate(lines[1:], start=2):
         m = re.fullmatch(r"x\s+([0-9]+)\s+([0-9]+)\s+([0-9]+)\s+([+-])", ln)
         if not m:
             raise ParseError("bad crossing line %r" % ln, position=lineno)
-        crossings.append(Crossing(int(m.group(1)), int(m.group(2)),
-                                  int(m.group(3)),
-                                  1 if m.group(4) == "+" else -1))
+        crossings.append(Crossing(*(_number(m[i], lineno) for i in (1, 2, 3)),
+                                  1 if m[4] == "+" else -1))
     return CrossingList(arc_count, crossings)
+
+
+# After spaces and commas: an X[a,b,c,d] tuple, else one unexpected
+# character, else the end.
+_PD_TOKEN = re.compile(r"[\s,]*(?:X\[%s\]|(.)|\Z)"
+                       % ",".join([r"\s*([0-9]+)\s*"] * 4), re.DOTALL)
 
 
 def parse_pd(text):
@@ -232,20 +223,13 @@ def parse_pd(text):
     The over-strand labels b and d belong to one Wirtinger arc and are
     merged; sign is + when d = b+1 (mod 2m) and - when b = d+1 (mod 2m).
     """
-    body = _strip_comments(text)
     tuples = []
-    pos = 0
-    pattern = re.compile(
-        r"X\[\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\]")
-    while pos < len(body):
-        if body[pos].isspace() or body[pos] == ",":
-            pos += 1
-            continue
-        m = pattern.match(body, pos)
-        if not m:
-            raise ParseError("bad PD token", position=pos)
-        tuples.append(tuple(int(g) for g in m.groups()))
-        pos = m.end()
+    for m in _PD_TOKEN.finditer(_strip_comments(text)):
+        if m[5]:
+            raise ParseError("bad PD token", position=m.start(5))
+        if m[1]:
+            tuples.append(tuple(_number(m[i], m.start(i))
+                                for i in range(1, 5)))
     if not tuples:
         return CrossingList(1, ())
     labels = 2 * len(tuples)

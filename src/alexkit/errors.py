@@ -8,8 +8,10 @@ ones that are part of its contract:
 - `TypeError` for an argument of the wrong type, such as
   `evaluate_tangle(1, field)` or `RationalPoint(None)`.
 A non-integral number where an integer is expected raises
-`ValidationError`, unequal variable counts `DimensionMismatch`, and
-`to_laurent` of several variables `UseMultivariableRoute`.
+`ValidationError`, as do a size out of range (negative, no strand or
+arc, or past sys.maxsize) and a `ComplexPoint` tolerance outside [0, 1);
+unequal variable counts raise `DimensionMismatch`, and `to_laurent` of
+several variables `UseMultivariableRoute`.
 """
 
 

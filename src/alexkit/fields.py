@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotAUnit, ValidationError
-from .laurent import LaurentPoly, _int, exact_div, gcd_laurent
+from .laurent import LaurentPoly, _size, exact_div, gcd_laurent
 
 
 class ScalarField:
@@ -112,6 +112,8 @@ class ComplexPoint(ScalarField):
     exact = False
 
     def __init__(self, t, tol=1e-9):
+        if not 0 <= tol < 1:  # NaN included
+            raise ValidationError("tolerance %r is outside [0, 1)" % (tol,))
         try:
             t = complex(t)
         except (ValueError, OverflowError):  # OverflowError: a huge int
@@ -136,7 +138,7 @@ class Mat:
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows, ncols):
-        ncols = _int(ncols, "column count")
+        ncols = _size(ncols, "column count")
         self.rows = tuple(tuple(r) for r in rows)
         for r in self.rows:
             if len(r) != ncols:
@@ -155,6 +157,7 @@ class Mat:
 
 
 def mat_identity(field, n):
+    n = _size(n, "size")
     return Mat([[field.one if i == j else field.zero for j in range(n)]
                 for i in range(n)], n)
 
@@ -162,16 +165,9 @@ def mat_identity(field, n):
 def mat_mul(field, a, b):
     if a.ncols != b.nrows:
         raise DimensionMismatch("inner dimension mismatch")
-    out = []
-    for i in range(a.nrows):
-        row = []
-        for j in range(b.ncols):
-            acc = field.zero
-            for k in range(a.ncols):
-                acc = acc + a.rows[i][k] * b.rows[k][j]
-            row.append(acc)
-        out.append(row)
-    return Mat(out, b.ncols)
+    cols = list(zip(*b.rows)) or [()] * b.ncols
+    return Mat([[sum(map(operator.mul, row, col), field.zero) for col in cols]
+                for row in a.rows], b.ncols)
 
 
 def _svd(field, m, compute_uv):
@@ -297,8 +293,7 @@ def kernel_basis(field, m):
                 col[pcol] = -x
         col = field.kernel_column(col, d)
         basis_cols.append([col.get(i, field.zero) for i in range(n)])
-    return Mat([[col[i] for col in basis_cols] for i in range(n)],
-               len(basis_cols))
+    return Mat(list(zip(*basis_cols)) or [()] * n, len(basis_cols))
 
 
 def column_space_equal(field, a, b):

@@ -12,10 +12,10 @@ from operator import add, sub
 
 from .errors import (DimensionMismatch, NotAUnit, UnknownGenerator,
                      ValidationError)
-from .laurent import MultiLaurentPoly, _int, _nvars
+from .laurent import MultiLaurentPoly, _int, _size, _Value
 
 
-class FreeWord:
+class FreeWord(_Value):
     """Freely reduced word; letters are (generator index >= 1, +-1)."""
 
     __slots__ = ("letters",)
@@ -33,13 +33,8 @@ class FreeWord:
                 raise ValidationError("word is not freely reduced")
         self.letters = letters
 
-    def __eq__(self, other):
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
+    def _key(self):
+        return self.letters
 
     def __len__(self):
         return len(self.letters)
@@ -83,7 +78,7 @@ class AbelianWeights:
 
     def __init__(self, assignment, nvars):
         self.assignment = dict(assignment)
-        self.nvars = nvars = _nvars(nvars)
+        self.nvars = nvars = _size(nvars, "variable count")
         for g, w in self.assignment.items():
             if w.nvars != nvars:
                 raise DimensionMismatch("weight variable count mismatch")

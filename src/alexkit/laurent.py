@@ -22,6 +22,7 @@ on the operands shifted to minimum exponent 0 in every variable.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import partial
 from math import gcd as _int_gcd
@@ -53,12 +54,29 @@ def _int(c, what="coefficient"):
 _exponent = partial(_int, what="exponent")
 
 
-def _nvars(n):
-    """A variable count: an int >= 0."""
-    n = _int(n, "variable count")
-    if n < 0:
-        raise ValidationError("negative variable count %d" % n)
+def _size(n, what, least=0):
+    """n, read through `_int`, as a size: an int from `least` to
+    sys.maxsize, the largest size Python can index, else ValidationError."""
+    n = _int(n, what)
+    if not least <= n <= sys.maxsize:
+        raise ValidationError("%s %d is outside %d..%d"
+                              % (what, n, least, sys.maxsize))
     return n
+
+
+class _Value:
+    """A value type: equal to a value of its exact class with an equal
+    `_key()`, and hashed by that key."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _int_terms(coeffs, exponent):
@@ -397,7 +415,7 @@ class MultiLaurentPoly(_LaurentCore):
     __slots__ = ("nvars",)
 
     def __init__(self, coeffs=None, nvars=1):
-        nvars = _nvars(nvars)
+        nvars = _size(nvars, "variable count")
 
         def exponent(exps):
             exps = tuple(map(_exponent, exps))
@@ -426,12 +444,12 @@ class MultiLaurentPoly(_LaurentCore):
 
     @classmethod
     def constant(cls, c, nvars):
-        return cls({(0,) * _nvars(nvars): c}, nvars)
+        return cls({(0,) * _size(nvars, "variable count"): c}, nvars)
 
     @classmethod
     def variable(cls, i, nvars):
         """The variable t_i (1-based)."""
-        nvars, i = _nvars(nvars), _int(i, "variable index")
+        nvars, i = _size(nvars, "variable count"), _int(i, "variable index")
         if not 1 <= i <= nvars:
             raise ValidationError("no variable t%d among %d" % (i, nvars))
         return cls({(0,) * (i - 1) + (1,) + (0,) * (nvars - i): 1}, nvars)

@@ -86,6 +86,7 @@ def test_word_times_inverse_is_identity():
         inverse = [-g for g in reversed(letters)]
         assert burau_unreduced(BraidWord(6, letters + inverse)) == ident
         assert burau_unreduced(BraidWord(6, inverse + letters)) == ident
+    assert {ident, burau_unreduced(BraidWord(6, [1, -1]))} == {ident}
 
 
 @pytest.mark.parametrize("word, expected", [

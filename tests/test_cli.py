@@ -221,11 +221,26 @@ def test_exit_codes(capsys):
         assert err.count("\n") == 1
     code, out, _ = _run(capsys, ["span", "--format", "dsl", _LONG_CHAIN])
     assert (code, out) == (0, "src=1 mid=1 tgt=1\n")
+    # sizes past sys.maxsize, numbers past Python's digit limit for int,
+    # and a format the verb does not read
+    for argv in (["alexander", _BIG + ":"],
+                 ["alexander", "--format", "xcode", "arcs " + _BIG],
+                 ["alexander", _LONG + ":"], ["alexander", "3: s" + _LONG],
+                 ["closure", "2: s" + _LONG],
+                 ["alexander", "--format", "xcode", "arcs " + _LONG],
+                 ["alexander", "--format", "pd", "X[%s,1,2,3]" % _LONG],
+                 ["closure", "--format", "pd", "2: s1 s1 s1"],
+                 ["burau", "--format", "xcode", "2: s1"],
+                 ["alexander", "--format", "dsl", "xp"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _TOO_DEEP = ("(" * 1200 + "xp" + ")" * 1200,
              "(id+ # " * 1200 + "id+" + ")" * 1200)
 _LONG_CHAIN = " ; ".join(["id+"] * 3000)
+_BIG, _LONG = "9" * 23, "9" * 5000
 
 
 _EXIT_2 = ("ParseError", "ValidationError", "AmbiguousOrientation",

@@ -38,6 +38,15 @@ def test_braid_word_validation():
         BraidWord(2, ["a"])
     with pytest.raises(TypeError):
         BraidWord(2, [None])
+    # equality is within one exact class, whatever the keys
+    assert BraidWord(1)._key() == CrossingList(1)._key()
+    assert BraidWord(1) != CrossingList(1)
+    assert _SubBraid(2, [1]) != BraidWord(2, [1])
+    assert len({BraidWord(2, [1]), BraidWord(2.0, [1.0])}) == 1
+
+
+class _SubBraid(BraidWord):
+    __slots__ = ()
 
 
 def test_permutation_and_components():
@@ -120,6 +129,16 @@ def test_parse_pd_errors():
     with pytest.raises(AmbiguousOrientation):
         # b and d neither consecutive: orientation cannot be inferred
         parse_pd("X[2,1,4,3] X[1,2,3,4]")
+    # positions count characters of the text without its comments
+    for text, position in (("X[1,2,3", 0), ("  \t X[1,2,3", 4),
+                           (" ,, X[1,2,3,4] ,Y", 16),
+                           ("X[1, 2,3,4],\n , x[1,2,3,4]", 16),
+                           ("# X[1,2]\n  X[", 3),
+                           ("X[1,4,2,5]  # ok\n X[3,6,4,1]]", 24),
+                           ("X[%s,1,2,3]" % ("9" * 5000), 2)):
+        with pytest.raises(ParseError) as err:
+            parse_pd(text)
+        assert err.value.position == position, text[:40]
 
 
 def test_catalog():

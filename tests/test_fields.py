@@ -316,6 +316,8 @@ def test_non_finite_points_are_validation_errors(t):
     for z in (complex(t, 0), complex(0, t), complex(1, t)):
         with pytest.raises(ValidationError):
             ComplexPoint(z)
+    with pytest.raises(ValidationError):  # a tolerance outside [0, 1)
+        ComplexPoint(2, t)
     m = alexander_matrix(catalog_lookup("trefoil").crossing_list)
     with pytest.raises(ValidationError):
         fibre_dimension(m, t)
@@ -333,6 +335,10 @@ def test_malformed_points_are_validation_errors():
         assert err.value.exit_code == 2
     with pytest.raises(ValidationError):
         RationalPoint("1/0")
+    for tol in (-1e-9, 1, 2.5):  # a tolerance outside [0, 1)
+        with pytest.raises(ValidationError):
+            ComplexPoint(2, tol)
+    assert fibre_dimension(m, ComplexPoint(2, 0)) == 1
     for make in (RationalPoint, ComplexPoint):
         with pytest.raises(TypeError):
             make(None)

@@ -31,6 +31,13 @@ def test_reduce_word():
         reduce_word([0])
     with pytest.raises(ValidationError):
         FreeWord([(1, 1), (1, -1)])  # not freely reduced
+    # equality is within one exact class, whatever the keys
+    assert _SubWord([(1, 1)]) != FreeWord([(1, 1)])
+    assert len({FreeWord([(1, 1)]), reduce_word([1, 2, -2])}) == 1
+
+
+class _SubWord(FreeWord):
+    __slots__ = ()
 
 
 def test_generator_rules():

@@ -4,9 +4,8 @@ huge, negative, non-finite and non-integral).
 
 Every exception must be an `AlexkitError` or one of the built-ins that
 `errors.py` makes part of the contract, and a non-integral number passed
-where an integer is expected must raise, not return.  A size that a call
-allocates in proportion to (`mat_identity`, `identity_span`) is drawn
-without the huge values, which would exhaust memory rather than fail.
+where an integer is expected must raise, not return.  A size past
+sys.maxsize raises before anything is allocated.
 """
 import math
 import random
@@ -75,13 +74,15 @@ INTEGER_SLOTS = {
     "identity_span": lambda v: identity_span(RationalPoint(2), v),
     "closure_alexander index": lambda v: closure_alexander(TREFOIL.braid, v),
 }
-ALLOCATING = {"mat_identity", "identity_span"}
 
-# A huge size fails with OverflowError, not a typed error.
+# A size past sys.maxsize, or a negative one, raises a typed error.
 HUGE_SIZE_GAPS = [(slot, v) for slot in ("CrossingList arc count",
                                          "MultiLaurentPoly.one",
                                          "MultiLaurentPoly.variable nvars")
                   for v in HUGE]
+HUGE_SIZE_GAPS += [(slot, v) for slot in ("Mat ncols", "mat_identity",
+                                          "identity_span")
+                   for v in HUGE + (-1,)]
 
 
 def _integral(v):
@@ -104,9 +105,6 @@ def _call(call, *args, contract=()):
 def _integer_cases():
     for slot, call in INTEGER_SLOTS.items():
         for v in INTEGRAL + NON_INTEGRAL:
-            if (slot, v) in HUGE_SIZE_GAPS or (slot in ALLOCATING
-                                               and v in HUGE):
-                continue
             yield slot, call, v
 
 
@@ -221,13 +219,9 @@ def test_library_fuzz():
         _call(call, rng, contract=contract)
 
 
-@pytest.mark.parametrize("slot, value", [
-    pytest.param(slot, v, marks=pytest.mark.xfail(
-        strict=True, raises=OverflowError,
-        reason="a size beyond the index range has no typed error"))
-    for slot, v in HUGE_SIZE_GAPS])
+@pytest.mark.parametrize("slot, value", HUGE_SIZE_GAPS)
 def test_huge_sizes_raise_typed_errors(slot, value):
-    _call(INTEGER_SLOTS[slot], value)
+    assert not _call(INTEGER_SLOTS[slot], value)
 
 
 @pytest.mark.parametrize("make", [
@@ -239,6 +233,11 @@ def test_huge_sizes_raise_typed_errors(slot, value):
     pytest.param(lambda v: Crossing(v, 2, 3, 1), id="Crossing"),
     pytest.param(lambda v: reduce_word([v]), id="reduce_word"),
     pytest.param(lambda v: FreeWord([(v, 1)]), id="FreeWord"),
+    pytest.param(lambda v: Mat([], v).ncols, id="Mat"),
+    pytest.param(lambda v: mat_identity(RationalPoint(2), v).rows,
+                 id="mat_identity"),
+    pytest.param(lambda v: identity_span(RationalPoint(2), v).left.rows,
+                 id="identity_span"),
 ])
 def test_integers_are_checked_not_truncated(make):
     """One rule for every integer argument: an integral number is taken
