@@ -15,8 +15,7 @@ from .errors import (RouteDisagreement, UnknownGenerator,
 from .fields import ComplexPoint, Mat, RationalPoint, ScalarField
 from .fox import AbelianWeights
 from .laurent import (LaurentPoly, MultiLaurentPoly, _LaurentCore,
-                      canonical_poly, distinct_root_count, mv_exact_div,
-                      mv_normalize)
+                      canonical_poly, distinct_root_count, mv_normalize)
 # unused here; perfbench/layertrace.py traces alexander.gcd_multivariate
 from .laurent import gcd_multivariate  # noqa: F401
 from .snf import poly_det, smith_normal_form
@@ -258,7 +257,7 @@ def _torres_quotient(rows, col, var):
     one = MultiLaurentPoly.one(var.nvars)
     minor = poly_det([row[:col] + row[col + 1:] for row in rows], one)
     try:
-        quotient = mv_exact_div(minor, var - one)
+        quotient = minor // (var - one)
     except ValueError:
         raise RouteDisagreement(
             "a Fox minor is not divisible by %s - 1" % var.render())

@@ -5,7 +5,7 @@ minor of Id - Burau.
 from __future__ import annotations
 
 from .errors import EmptyMatrix, RouteDisagreement, ValidationError
-from .fields import Mat, kernel_basis
+from .fields import GenericTField, Mat, kernel_basis, mat_identity
 from .laurent import LaurentPoly, _Value, canonical_poly, normalize_unit
 from .snf import poly_det
 from .tangles import Span
@@ -27,12 +27,6 @@ class BurauMatrix(_Value):
         return "BurauMatrix<%dx%d>" % (self.strands, self.strands)
 
 
-def _identity_rows(n):
-    one = LaurentPoly.one()
-    zero = LaurentPoly.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def burau_unreduced(b):
     """Ordered product of the generator blocks [[1-t, t], [1, 0]] (s_i)
     and [[0, 1], [t^-1, 1-t^-1]] (S_i) on strands i, i+1; the identity
@@ -45,7 +39,7 @@ def burau_unreduced(b):
     a row whose two entries are zero is skipped.
     """
     n = b.strands
-    rows = _identity_rows(n)
+    rows = [list(row) for row in mat_identity(GenericTField(), n).rows]
     for letter in b.letters:
         i = abs(letter) - 1
         j = i + 1

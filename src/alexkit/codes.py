@@ -15,7 +15,10 @@ from .laurent import LaurentPoly, _int, _size, _Value
 
 
 def _strip_comments(text):
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    """The text with each `#` comment blanked to spaces to its line's end."""
+    return "".join(body.split("#", 1)[0].ljust(len(body)) + line[len(body):]
+                   for line, body in zip(text.splitlines(keepends=True),
+                                         text.splitlines()))
 
 
 def _number(digits, position):
@@ -189,18 +192,19 @@ class CrossingList(_Value):
 
 
 def parse_crossing_list(text):
-    """Parse the "arcs <n>" header plus "x i j k +|-" lines."""
-    lines = [ln.strip() for ln in _strip_comments(text).splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Parse "arcs <n>" and "x i j k +|-" lines; positions are line numbers."""
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(
+        _strip_comments(text).splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty crossing-list input", position=0)
-    m = re.fullmatch(r"arcs\s+([0-9]+)", lines[0])
+    (lineno, ln), *lines = lines
+    m = re.fullmatch(r"arcs\s+([0-9]+)", ln)
     if not m:
-        raise ParseError("expected 'arcs <n>' header, got %r" % lines[0],
-                         position=1)
-    arc_count = _number(m[1], 1)
+        raise ParseError("expected 'arcs <n>' header, got %r" % ln,
+                         position=lineno)
+    arc_count = _number(m[1], lineno)
     crossings = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines:
         m = re.fullmatch(r"x\s+([0-9]+)\s+([0-9]+)\s+([0-9]+)\s+([+-])", ln)
         if not m:
             raise ParseError("bad crossing line %r" % ln, position=lineno)

@@ -2,11 +2,10 @@
 
 Every error alexkit raises is an `AlexkitError`, except three built-in
 ones that are part of its contract:
-- `ValueError` for an inexact quotient in `exact_div` or `mv_exact_div`;
-- `ZeroDivisionError` for a division by the zero polynomial in
-  `exact_div`, `pseudo_divmod` and `mv_exact_div`;
+- `ValueError` for an inexact `//` (`exact_div`, `mv_exact_div`);
+- `ZeroDivisionError` for a division by zero in `//` and `pseudo_divmod`;
 - `TypeError` for an argument of the wrong type, such as
-  `evaluate_tangle(1, field)` or `RationalPoint(None)`.
+  `evaluate_tangle(1, field)`, `RationalPoint(None)` or `t // 1.5`.
 A non-integral number where an integer is expected raises
 `ValidationError`, as do a size out of range (negative, no strand or
 arc, or past sys.maxsize) and a `ComplexPoint` tolerance outside [0, 1);

@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotAUnit, ValidationError
-from .laurent import LaurentPoly, _size, exact_div, gcd_laurent
+from .laurent import LaurentPoly, _size, gcd_laurent
 
 
 class ScalarField:
@@ -28,8 +28,8 @@ class ScalarField:
     combine by the arithmetic operators.
     The shared bodies serve the fixed points t, whose scalars are numbers.
 
-    An exact field also maps a Mat to sparse integral rows, returning
-    them with the exact division of that ring (`integral_rows`), and
+    An exact field also maps a Mat to sparse rows over an integral ring,
+    Z or Z[t^+-1], whose exact division is `//` (`integral_rows`), and
     turns a kernel column of that ring into scalars (`kernel_column`)."""
 
     exact = True
@@ -56,8 +56,7 @@ class GenericTField(ScalarField):
 
     def integral_rows(self, m):
         """Each row's nonzero entries, already over Z[t^+-1]."""
-        return [{j: x for j, x in enumerate(row) if x}
-                for row in m.rows], exact_div
+        return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
 
     def kernel_column(self, col, d):
         """The column divided by the gcd of its entries: primitive."""
@@ -66,7 +65,7 @@ class GenericTField(ScalarField):
             g = gcd_laurent(g, x)
             if g == self.one:
                 return col
-        return {i: exact_div(x, g) for i, x in col.items()}
+        return {i: x // g for i, x in col.items()}
 
     def describe(self):
         return "generic"
@@ -99,7 +98,7 @@ class RationalPoint(ScalarField):
             den = math.lcm(*(x.denominator for _, x in nonzero))
             out.append({j: x.numerator * (den // x.denominator)
                         for j, x in nonzero})
-        return out, operator.floordiv
+        return out
 
     def kernel_column(self, col, d):
         """The column divided by d."""
@@ -149,9 +148,6 @@ class Mat:
     def nrows(self):
         return len(self.rows)
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def __repr__(self):
         return "Mat(%dx%d)" % (self.nrows, self.ncols)
 
@@ -193,11 +189,11 @@ def _svd_rank(field, sv):
     return sum(1 for x in sv if x > field.tol * sv[0])
 
 
-def _fraction_free(rows, ncols, divide, full):
+def _fraction_free(rows, ncols, full):
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
     1968; Montante's full reduction) of integral rows over ncols columns,
-    `divide` being their ring's exact division; the rows are reduced in
-    place.
+    ints or LaurentPolys, whose ring divides exactly with `//`; the rows
+    are reduced in place.
 
     Rows are sparse, {column: entry} with nonzero entries only, so a step
     costs the nonzeros it touches and the fill-in it makes.  Pivots are
@@ -243,7 +239,7 @@ def _fraction_free(rows, ncols, divide, full):
                         else:
                             del new[j]
             if prev is not None:
-                new = {j: divide(x, prev) for j, x in new.items()}
+                new = {j: x // prev for j, x in new.items()}
             rows[i] = new
         prev = pivot
         pivots.append(col)
@@ -254,8 +250,8 @@ def mat_rank(field, m):
     """Rank by SVD on inexact fields and by forward fraction-free
     elimination on exact ones."""
     if field.exact:
-        rows, divide = field.integral_rows(m)
-        return len(_fraction_free(rows, m.ncols, divide, full=False)[1])
+        return len(_fraction_free(field.integral_rows(m), m.ncols,
+                                  full=False)[1])
     if m.nrows == 0 or m.ncols == 0:
         return 0
     return _svd_rank(field, _svd(field, m, False))
@@ -278,8 +274,7 @@ def kernel_basis(field, m):
         rank = _svd_rank(field, sv)
         null = vh[rank:].conj().T  # n x (n - rank)
         return Mat([[complex(x) for x in row] for row in null], n - rank)
-    rows, divide = field.integral_rows(m)
-    rows, pivots = _fraction_free(rows, n, divide, full=True)
+    rows, pivots = _fraction_free(field.integral_rows(m), n, full=True)
     d = rows[len(pivots) - 1][pivots[-1]] if pivots else field.one
     pivot_set = set(pivots)
     basis_cols = []

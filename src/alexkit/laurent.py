@@ -7,10 +7,10 @@ constructors reject a non-integral one.  The units of these rings are
 store a polynomial as {exponent: coefficient}, an int exponent in one
 variable and a tuple of ints in several, with the zero polynomial the
 empty map.  One private core holds what does not look inside an
-exponent: the zero and unit tests, equality, hashing, negation, one-pass
-addition and subtraction, and rendering.  Each ring keeps its own
-product, where a product by a single term c*t^k is a shift of the other
-operand's exponents with its coefficients scaled by c.
+exponent: the zero and unit tests, a unit's inverse, equality, hashing,
+negation, one-pass addition and subtraction, and rendering.  Each ring
+keeps its own product, where a product by a single term c*t^k shifts the
+other operand, and its own exact division `//`.
 
 Univariate division is pseudo-division (Knuth, TAOCP vol. 2, 4.6.1):
 `pseudo_divmod` scales the dividend by the least positive integer that
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd as _int_gcd
 from numbers import Number
-from operator import add, sub
+from operator import add, neg, sub
 
 from .errors import (DimensionMismatch, NotAUnit, UseMultivariableRoute,
                      ValidationError, ZeroPolynomial)
@@ -107,6 +107,7 @@ class _LaurentCore:
     __slots__ = ("coeffs",)
     nvars = 1
     _var = "t"
+    _negate = staticmethod(neg)  # of an exponent
 
     def __init__(self, coeffs=None):
         self.coeffs = _int_terms(coeffs, _exponent)
@@ -132,6 +133,19 @@ class _LaurentCore:
     def is_unit(self):
         """True iff p is +-t^k, a +-monomial: a unit of the Laurent ring."""
         return len(self.coeffs) == 1 and abs(*self.coeffs.values()) == 1
+
+    def term_inverse(self):
+        """The inverse of a unit +-t^k, which is +-t^-k."""
+        if not self.is_unit():
+            raise NotAUnit("%s is not a +-monomial" % self.render())
+        return self._new({self._negate(e): c for e, c in self.coeffs.items()})
+
+    def _int_divisor(self, q):
+        """An int q as this ring's constant; another type is a TypeError."""
+        if isinstance(q, int):
+            return self._scalar(q)
+        raise TypeError("unsupported operand type(s) for //: %r and %r"
+                        % (type(self).__name__, type(q).__name__))
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -265,11 +279,7 @@ class LaurentPoly(_LaurentCore):
     def __pow__(self, n):
         n = _int(n, "power")
         if n < 0:
-            if not self.is_unit():
-                raise NotAUnit("negative power of %s, not +-t^k"
-                               % self.render())
-            (e, c), = self.coeffs.items()
-            return self._new({e * n: c ** -n})
+            return self.term_inverse() ** -n
         out = LaurentPoly.one()
         base = self
         while n:
@@ -278,6 +288,22 @@ class LaurentPoly(_LaurentCore):
             base = base * base
             n >>= 1
         return out
+
+    def __floordiv__(self, b):
+        """Exact division: self / b, raising ValueError unless b divides
+        self in Z[t,t^-1]; an int b is that constant."""
+        if type(b) is not LaurentPoly:
+            b = self._int_divisor(b)
+        if len(b.coeffs) == 1:
+            (k, c), = b.coeffs.items()
+            if all(x % c == 0 for x in self.coeffs.values()):
+                return self._new({e - k: x // c
+                                  for e, x in self.coeffs.items()})
+        s, q, r = pseudo_divmod(self, b)
+        if s != 1 or r:
+            raise ValueError("inexact Laurent division: %s by %s"
+                             % (self.render(), b.render()))
+        return q
 
     def shifted(self, k):
         """Multiply by t^k."""
@@ -369,19 +395,6 @@ def pseudo_divmod(a, b):
             a._new({e + sa: c for e, c in rem.items()}))
 
 
-def exact_div(a, b):
-    """a / b, raising ValueError unless b divides a in Z[t,t^-1]."""
-    if len(b.coeffs) == 1:
-        (k, c), = b.coeffs.items()
-        if all(x % c == 0 for x in a.coeffs.values()):
-            return a._new({e - k: x // c for e, x in a.coeffs.items()})
-    s, q, r = pseudo_divmod(a, b)
-    if s != 1 or r:
-        raise ValueError("inexact Laurent division: %s by %s"
-                         % (a.render(), b.render()))
-    return q
-
-
 def gcd_laurent(a, b):
     """Canonical gcd in Q[t,t^-1] by the primitive remainder sequence;
     gcd(0,0) = 0 by convention."""
@@ -404,7 +417,7 @@ def distinct_root_count(p):
     if u.max_exp == 0:
         return 0
     g = gcd_laurent(u, u.derivative())
-    sf = exact_div(u, g)
+    sf = u // g
     return sf.max_exp - sf.min_exp
 
 
@@ -433,6 +446,8 @@ class MultiLaurentPoly(_LaurentCore):
 
     def _scalar(self, c):
         return self._new({(0,) * self.nvars: c} if c else {})
+
+    _negate = staticmethod(lambda exps: tuple(map(neg, exps)))
 
     @classmethod
     def zero(cls, nvars):
@@ -480,13 +495,6 @@ class MultiLaurentPoly(_LaurentCore):
                 data.pop(e, None)
         return LaurentPoly(data)
 
-    def term_inverse(self):
-        """Inverse of a +-monomial."""
-        if not self.is_unit():
-            raise NotAUnit("%s is not a +-monomial" % self.render())
-        (exps, c), = self.coeffs.items()
-        return self._new({tuple(-e for e in exps): c})
-
     def __mul__(self, other):
         if isinstance(other, int):
             other = self._scalar(other)
@@ -514,6 +522,50 @@ class MultiLaurentPoly(_LaurentCore):
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, d):
+        """Exact division: self / d in the multivariate Laurent ring,
+        raising ValueError unless d divides self; an int d is that constant.
+
+        Both operands are shifted so that every variable's minimum exponent
+        is 0.  The lowest power of each variable adds under multiplication,
+        so an exact quotient of two such polynomials is again one, and long
+        division by lex-leading terms finds it: each step divides the
+        remainder's leading term by d's and subtracts that quotient term
+        times d.  A coefficient that does not divide, or a quotient exponent
+        below 0, shows that the division is inexact.  Every step removes the
+        remainder's leading term and adds only smaller ones, and lex order
+        well-orders N^n, so the loop ends.  The quotient is then shifted
+        back."""
+        if type(d) is not MultiLaurentPoly:
+            d = self._int_divisor(d)
+        if d.is_zero:
+            raise ZeroDivisionError("multivariate division by zero")
+        if self.nvars != d.nvars:
+            raise DimensionMismatch("variable count mismatch")
+        if self.is_zero:
+            return self
+        pmin, dmin = self.min_exps(), d.min_exps()
+        rem = self.shifted(tuple(-e for e in pmin)).coeffs
+        rest = d.shifted(tuple(-e for e in dmin)).coeffs
+        lead = max(rest)
+        lead_coeff = rest.pop(lead)
+        quo = {}
+        while rem:
+            top = max(rem)
+            c, r = divmod(rem.pop(top), lead_coeff)
+            e = tuple(map(sub, top, lead))
+            if r or min(e) < 0:
+                raise ValueError("inexact multivariate division")
+            quo[e] = c
+            for f, x in rest.items():
+                g = tuple(map(add, e, f))
+                s = rem.get(g, 0) - c * x
+                if s:
+                    rem[g] = s
+                else:
+                    del rem[g]
+        return self._new(quo).shifted(tuple(map(sub, pmin, dmin)))
+
     def min_exps(self):
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no exponents")
@@ -530,6 +582,10 @@ class MultiLaurentPoly(_LaurentCore):
     def _varpart(self, exps):
         return " ".join(_var_power("t%d" % (i + 1), e)
                         for i, e in enumerate(exps) if e != 0)
+
+
+exact_div = LaurentPoly.__floordiv__
+mv_exact_div = MultiLaurentPoly.__floordiv__
 
 
 def mv_normalize(p):
@@ -563,49 +619,6 @@ def _mv_join_last(parts, nvars):
     return MultiLaurentPoly(data, nvars)
 
 
-def mv_exact_div(p, d):
-    """p / d in the multivariate Laurent ring; ValueError unless d
-    divides p.
-
-    Both operands are shifted so that every variable's minimum exponent
-    is 0.  The lowest power of each variable adds under multiplication,
-    so an exact quotient of two such polynomials is again one, and long
-    division by lex-leading terms finds it: each step divides the
-    remainder's leading term by d's and subtracts that quotient term
-    times d.  A coefficient that does not divide, or a quotient exponent
-    below 0, shows that the division is inexact.  Every step removes the
-    remainder's leading term and adds only smaller ones, and lex order
-    well-orders N^n, so the loop ends.  The quotient is then shifted
-    back."""
-    if p.is_zero:
-        return MultiLaurentPoly.zero(p.nvars)
-    if d.is_zero:
-        raise ZeroDivisionError("multivariate division by zero")
-    if p.nvars != d.nvars:
-        raise DimensionMismatch("variable count mismatch")
-    pmin, dmin = p.min_exps(), d.min_exps()
-    rem = p.shifted(tuple(-e for e in pmin)).coeffs
-    rest = d.shifted(tuple(-e for e in dmin)).coeffs
-    lead = max(rest)
-    lead_coeff = rest.pop(lead)
-    quo = {}
-    while rem:
-        top = max(rem)
-        c, r = divmod(rem.pop(top), lead_coeff)
-        e = tuple(map(sub, top, lead))
-        if r or min(e) < 0:
-            raise ValueError("inexact multivariate division")
-        quo[e] = c
-        for f, x in rest.items():
-            g = tuple(map(add, e, f))
-            s = rem.get(g, 0) - c * x
-            if s:
-                rem[g] = s
-            else:
-                del rem[g]
-    return p._new(quo).shifted(tuple(map(sub, pmin, dmin)))
-
-
 def _mv_content(parts, nvars_inner):
     """Gcd of the coefficient polynomials of a split representation."""
     g = MultiLaurentPoly.zero(nvars_inner)
@@ -616,7 +629,7 @@ def _mv_content(parts, nvars_inner):
 
 def _mv_scale_div(parts, content):
     """Divide polynomial parts by their normalized content."""
-    return {e: mv_exact_div(c, content) for e, c in parts.items()}
+    return {e: c // content for e, c in parts.items()}
 
 
 def _mv_pseudo_rem(a, b, nvars):

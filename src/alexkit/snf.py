@@ -39,9 +39,8 @@ from __future__ import annotations
 import heapq
 
 from .errors import DimensionMismatch
-from .laurent import (LaurentPoly, MultiLaurentPoly, _primitive_coeffs,
-                      canonical_poly, exact_div, gcd_laurent, mv_exact_div,
-                      pseudo_divmod)
+from .laurent import (LaurentPoly, _primitive_coeffs, canonical_poly,
+                      gcd_laurent, pseudo_divmod)
 
 
 def _primitive_row(row):
@@ -97,7 +96,7 @@ def smith_normal_form(rows):
         row = sparse[i]
         pivot = row.pop(j)
         unit = pivot.is_unit()
-        inverse = pivot ** -1 if unit else None
+        inverse = pivot.term_inverse() if unit else None
         changed = [r for r in cols[j] if r != i]
         for r in changed:
             target = sparse[r]
@@ -157,7 +156,7 @@ def smith_normal_form(rows):
             g = gcd_laurent(chain[a], chain[b])
             if g != chain[a]:
                 chain[a], chain[b] = g, canonical_poly(
-                    exact_div(chain[a] * chain[b], g))
+                    chain[a] * chain[b] // g)
     return [LaurentPoly.one() for _ in range(units)] + chain
 
 
@@ -189,10 +188,6 @@ def poly_det(rows, one):
         raise DimensionMismatch(
             "determinant of a non-square matrix: %d rows of lengths %s"
             % (n, sorted({len(row) for row in rows})))
-    if isinstance(one, MultiLaurentPoly):
-        divide, invert = mv_exact_div, MultiLaurentPoly.term_inverse
-    else:
-        divide, invert = exact_div, lambda p: p ** -1
     live = [{j: x for j, x in enumerate(row) if not x.is_zero}
             for row in rows]
     cols = list(range(n))
@@ -226,7 +221,7 @@ def poly_det(rows, one):
             factor = -factor
         if prev is None and pivot.is_unit():
             factor = factor * pivot
-            inverse = invert(pivot)
+            inverse = pivot.term_inverse()
             scaled = {c: x * inverse for c, x in pivot_row.items()}
             for row in live:
                 f = row.pop(j, None)
@@ -251,6 +246,6 @@ def poly_det(rows, one):
                     else:
                         new[c] = x
             live[r] = new if prev is None else {
-                c: divide(x, prev) for c, x in new.items()}
+                c: x // prev for c, x in new.items()}
         prev = pivot
     return factor if prev is None else factor * prev

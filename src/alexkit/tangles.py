@@ -17,7 +17,7 @@ from .errors import (BoundaryMismatch, DimensionMismatch, ParseError,
                      ValidationError)
 from .fields import (Mat, _fraction_free, column_space_equal, kernel_basis,
                      mat_identity, mat_mul)
-from .laurent import LaurentPoly, canonical_poly, exact_div
+from .laurent import LaurentPoly, canonical_poly
 # unused here; perfbench/layertrace.py traces tangles.smith_normal_form
 from .snf import smith_normal_form  # noqa: F401
 
@@ -408,7 +408,7 @@ def closed_tangle_delta(expr):
             if j < n - 1:
                 row[j] = row.get(j, zero) + coeff
         rows.append({j: x for j, x in row.items() if x})
-    reduced, pivots = _fraction_free(rows, n - 1, exact_div, full=False)
+    reduced, pivots = _fraction_free(rows, n - 1, full=False)
     if len(pivots) < n - 1:
         return zero
     return canonical_poly(reduced[n - 2][pivots[-1]])

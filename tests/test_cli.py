@@ -13,7 +13,8 @@ import alexkit
 from alexkit import BraidWord, burau, cli, errors
 from alexkit.cli import parse_t_spec, run, selftest_report
 from alexkit.errors import ParseError, RouteDisagreement
-from alexkit.fields import ComplexPoint, GenericTField, RationalPoint
+from alexkit.fields import (ComplexPoint, GenericTField, RationalPoint,
+                            mat_identity)
 from alexkit.laurent import MultiLaurentPoly
 
 
@@ -158,7 +159,8 @@ def test_selftest_reports_route_disagreement(capsys, monkeypatch):
     # a wrong reduced Burau matrix fails the closure cross-check of every
     # knot; selftest marks that route FAIL instead of raising
     monkeypatch.setattr(burau, "_reduce_rows", lambda rows, n: [
-        [2 * x for x in row] for row in burau._identity_rows(n - 1)])
+        [2 * x for x in row]
+        for row in mat_identity(GenericTField(), n - 1).rows])
     lines, ok = selftest_report(["trefoil", "figure8", "hopf"])
     assert not ok
     assert lines == ["trefoil: FAIL (burau)", "figure8: FAIL (burau)",
@@ -283,7 +285,8 @@ def test_batch_file(tmp_path, capsys):
 def test_route_disagreement(tmp_path, capsys, monkeypatch):
     # a wrong reduced Burau matrix makes the closure cross-check fail
     monkeypatch.setattr(burau, "_reduce_rows", lambda rows, n: [
-        [2 * x for x in row] for row in burau._identity_rows(n - 1)])
+        [2 * x for x in row]
+        for row in mat_identity(GenericTField(), n - 1).rows])
     with pytest.raises(RouteDisagreement):
         burau.closure_alexander(BraidWord(2, [1, 1, 1]))
     code, out, err = _run(capsys, ["closure", "2: s1 s1 s1"])

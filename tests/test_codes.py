@@ -84,12 +84,17 @@ def test_crossing_list_components():
 
 
 def test_parse_crossing_list_errors():
-    with pytest.raises(ParseError):
-        parse_crossing_list("")
-    with pytest.raises(ParseError):
-        parse_crossing_list("arcs x")
-    with pytest.raises(ParseError):
-        parse_crossing_list("arcs 3\nx 1 2 +")
+    # positions are line numbers of the text, comments and blank lines
+    # included
+    for text, position in (("", 0), ("# only\n\n", 0), ("arcs x", 1),
+                           ("arcs 3\nx 1 2 +", 2),
+                           ("# header\narcs 3\n\nx 1 2 q +", 4),
+                           ("\n  # c\n\n  arcs -1", 4),
+                           ("arcs 2  # two\r\n\r\nx 1 2 1 +\r\n# c\nx 2",
+                            5)):
+        with pytest.raises(ParseError) as err:
+            parse_crossing_list(text)
+        assert err.value.position == position, text
 
 
 def test_braid_closure_counts():
@@ -129,12 +134,13 @@ def test_parse_pd_errors():
     with pytest.raises(AmbiguousOrientation):
         # b and d neither consecutive: orientation cannot be inferred
         parse_pd("X[2,1,4,3] X[1,2,3,4]")
-    # positions count characters of the text without its comments
+    # positions count characters of the text, comments included
     for text, position in (("X[1,2,3", 0), ("  \t X[1,2,3", 4),
                            (" ,, X[1,2,3,4] ,Y", 16),
                            ("X[1, 2,3,4],\n , x[1,2,3,4]", 16),
-                           ("# X[1,2]\n  X[", 3),
-                           ("X[1,4,2,5]  # ok\n X[3,6,4,1]]", 24),
+                           ("# X[1,2]\n  X[", 11),
+                           ("X[1,4,2,5]  # ok\n X[3,6,4,1]]", 28),
+                           ("# a comment\nX[1,2,3", 12),
                            ("X[%s,1,2,3]" % ("9" * 5000), 2)):
         with pytest.raises(ParseError) as err:
             parse_pd(text)

@@ -104,8 +104,7 @@ def _oracle(entries, ncols, t=None):
 def _rref(field, m):
     """Pivot rows of the full fraction-free pass as (entry, pivot) pairs
     of the integral ring; the RREF is entry / pivot."""
-    rows, divide = field.integral_rows(m)
-    rows, pivots = _fraction_free(rows, m.ncols, divide, full=True)
+    rows, pivots = _fraction_free(field.integral_rows(m), m.ncols, full=True)
     return [[(rows[r].get(j, 0), rows[r][col]) for j in range(m.ncols)]
             for r, col in enumerate(pivots)], tuple(pivots)
 
@@ -236,8 +235,7 @@ def _dense_fraction_free(field, m, full):
 
 def _assert_same_as_dense(field, m):
     for full in (True, False):
-        rows, divide = field.integral_rows(m)
-        rows, pivots = _fraction_free(rows, m.ncols, divide, full)
+        rows, pivots = _fraction_free(field.integral_rows(m), m.ncols, full)
         want_rows, want_pivots = _dense_fraction_free(field, m, full)
         assert pivots == want_pivots
         assert len(rows) == len(want_rows)
@@ -405,7 +403,7 @@ def test_generic_kernels_are_primitive_laurent_bases():
         assert all(x.is_zero for row in product.rows for x in row)
         for j in range(k.ncols):
             g = LaurentPoly.zero()
-            for x in k.column(j):
+            for x in (row[j] for row in k.rows):
                 g = gcd_laurent(g, x)
             assert g == LaurentPoly.one()
 

@@ -112,13 +112,13 @@ def test_divmod_is_division_with_remainder(a, b, m):
     """s*a = q*b + r with spread(r) < spread(b), a positive int s and int
     coefficients; s = 1 and r = 0 when b divides a, and dividing by 2t
     is exact iff every coefficient is even.  Every example divides by a
-    general polynomial b and by a mixed operand m."""
+    general polynomial b and by a mixed operand m; `//` is exact_div."""
     two_t = LaurentPoly.monomial(1, 2)
     if any(c % 2 for c in a.coeffs.values()):
         with pytest.raises(ValueError):
             exact_div(a, two_t)
     else:
-        assert exact_div(a, two_t) * two_t == a
+        assert exact_div(a, two_t) * two_t == a == a // two_t * two_t
     for b in (b, m):
         if b.is_zero:
             with pytest.raises(ZeroDivisionError):
@@ -131,6 +131,7 @@ def test_divmod_is_division_with_remainder(a, b, m):
         assert _all_int(q) and _all_int(r)
         assert pseudo_divmod(a * b, b) == (1, a, LaurentPoly.zero())
         assert exact_div(a * b, b) == a and _all_int(exact_div(a * b, b))
+        assert a * b // b == exact_div(a * b, b)
 
 
 def test_pseudo_divmod_by_non_monic_divisors():
@@ -329,14 +330,14 @@ def test_integer_polynomials_keep_int_coefficients():
         for p in (a + b, a - b, a * b, exact_div(a * b, b),
                   canonical_poly(a), gcd_laurent(a * c, b * c)):
             assert _all_int(p)
-        assert exact_div(a * b, b) == a
+        assert exact_div(a * b, b) == a == a * b // b
     for _ in range(20):
         nvars = rng.choice((2, 3))
         a, b, c = (_int_mv(rng, nvars) for _ in range(3))
         for p in (a + b, a * b, mv_exact_div(a * b, b), mv_normalize(a),
                   gcd_multivariate([a * c, b * c])):
             assert _all_int(p)
-        assert mv_exact_div(a * b, b) == a
+        assert mv_exact_div(a * b, b) == a == a * b // b
 
 
 def test_non_integral_coefficients_and_non_units_raise_typed_errors():
@@ -351,9 +352,12 @@ def test_non_integral_coefficients_and_non_units_raise_typed_errors():
             MultiLaurentPoly({(0, 1): bad}, 2)
     two_t = LaurentPoly.monomial(1, 2)
     assert not two_t.is_unit() and LaurentPoly.monomial(-3, -1).is_unit()
-    with pytest.raises(NotAUnit):
-        two_t ** -1
-    assert LaurentPoly.monomial(2, -1) ** -1 == LaurentPoly.monomial(-2, -1)
+    for inverse in (lambda p: p ** -1, LaurentPoly.term_inverse):
+        with pytest.raises(NotAUnit):
+            inverse(two_t)
+        assert inverse(LaurentPoly.monomial(2, -1)) == LaurentPoly.monomial(
+            -2, -1)
+    assert LaurentPoly.monomial(2, -1) ** -3 == LaurentPoly.monomial(-6, -1)
     with pytest.raises(NotAUnit):
         MultiLaurentPoly.monomial((1, 0), 2).term_inverse()
     with pytest.raises(NotAUnit):
@@ -361,11 +365,11 @@ def test_non_integral_coefficients_and_non_units_raise_typed_errors():
 
 
 def test_multivariate_operators_reject_other_operands():
-    """+, - and * of a MultiLaurentPoly with anything but one (or an int
-    factor), a LaurentPoly among them, raise TypeError; a variable count
-    mismatch, DimensionMismatch, and polynomials in different variable
-    counts are unequal.  Equal values hash equal, a constant and its int
-    too."""
+    """+, -, * and // of a MultiLaurentPoly with anything but one (or an
+    int factor or divisor), a LaurentPoly among them, raise TypeError; a
+    variable count mismatch, DimensionMismatch, even of a zero dividend,
+    and polynomials in different variable counts are unequal.  Equal
+    values hash equal, a constant and its int too."""
     one = MultiLaurentPoly.one(2)
     for other in (1, 1.5, Fraction(1, 2), LaurentPoly.one()):
         for op in (operator.add, operator.sub):
@@ -379,13 +383,15 @@ def test_multivariate_operators_reject_other_operands():
         with pytest.raises(TypeError):
             other * one
     assert one * 3 == 3 * one == MultiLaurentPoly.constant(3, 2)
-    for op in (operator.add, operator.sub, operator.mul):
+    for op in (operator.add, operator.sub, operator.mul, operator.floordiv):
         with pytest.raises(DimensionMismatch):
             op(one, MultiLaurentPoly.one(3))
         with pytest.raises(TypeError):
             op(LaurentPoly.one(), MultiLaurentPoly.one(1))
         with pytest.raises(TypeError):
             op(MultiLaurentPoly.one(1), LaurentPoly.one())
+    with pytest.raises(DimensionMismatch):
+        MultiLaurentPoly.zero(2) // MultiLaurentPoly.one(3)
     assert one != MultiLaurentPoly.one(3)
     assert MultiLaurentPoly.zero(2) != MultiLaurentPoly.zero(3)
     assert LaurentPoly.one() != MultiLaurentPoly.one(1)

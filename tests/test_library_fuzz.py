@@ -28,6 +28,7 @@ from alexkit import (AbelianWeights, BraidWord, Compose, ComplexPoint,
                      reduce_word, ring_presentation, smith_normal_form,
                      tangle_linear_system, tensor_spans)
 from alexkit.errors import AlexkitError, ValidationError
+from alexkit.laurent import mv_exact_div, mv_normalize, pseudo_divmod
 
 NAN, INF = float("nan"), float("inf")
 HUGE = (10 ** 30, 1e300)
@@ -249,3 +250,45 @@ def test_integers_are_checked_not_truncated(make):
             make(bad)
     with pytest.raises(TypeError):
         make(None)
+
+
+def test_division_takes_its_ring_or_an_int():
+    """`//` is exact division: a divisor of the dividend's ring, or an int
+    as that ring's constant.  A zero divisor raises ZeroDivisionError, an
+    inexact one ValueError and one of another type TypeError."""
+    assert (2 * T) // 2 == T and (3 * T1) // -3 == -T1
+    for call in (lambda: T // 0, lambda: exact_div(T, 0),
+                 lambda: mv_exact_div(T1, 0), lambda: LaurentPoly.zero() // 0,
+                 lambda: MultiLaurentPoly.zero(2) // 0):
+        with pytest.raises(ZeroDivisionError):
+            call()
+    with pytest.raises(ValueError):
+        exact_div(T, 2)
+    for bad in ("x", 1.5, Fraction(1, 2), T1):
+        with pytest.raises(TypeError):
+            T // bad
+        with pytest.raises(TypeError):
+            T1 // (T if bad is T1 else bad)
+
+
+# Calls with an argument of the wrong type that still raise a bare
+# AttributeError, outside the contract of `errors.py`.
+@pytest.mark.xfail(strict=True, raises=AttributeError,
+                   reason="no type check before the first attribute read")
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: exact_div(0, T), id="exact_div(0, t)"),
+    pytest.param(lambda: pseudo_divmod(T, 0), id="pseudo_divmod(t, 0)"),
+    pytest.param(lambda: gcd_laurent(T, 0), id="gcd_laurent(t, 0)"),
+    pytest.param(lambda: canonical_poly(3), id="canonical_poly(3)"),
+    pytest.param(lambda: normalize_unit(0), id="normalize_unit(0)"),
+    pytest.param(lambda: distinct_root_count(2),
+                 id="distinct_root_count(2)"),
+    pytest.param(lambda: mv_normalize(T), id="mv_normalize(t)"),
+    pytest.param(lambda: gcd_multivariate([T]), id="gcd_multivariate([t])"),
+    pytest.param(lambda: poly_det([[1]], 1), id="poly_det([[1]], 1)"),
+    pytest.param(lambda: smith_normal_form([[1]]),
+                 id="smith_normal_form([[1]])"),
+])
+def test_wrong_types_raise_type_error(call):
+    with pytest.raises((AlexkitError, TypeError)):
+        call()
