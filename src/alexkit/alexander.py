@@ -7,15 +7,13 @@ the AGL_1 equations q_out = m q_in + (1 - m) q_over, m = t^sign.
 """
 from __future__ import annotations
 
-import math
-
 from . import fields
 from .errors import (RouteDisagreement, UnknownGenerator,
                      UseMultivariableRoute, UseUnivariateRoute)
 from .fields import ComplexPoint, Mat, RationalPoint, ScalarField
 from .fox import AbelianWeights
 from .laurent import (LaurentPoly, MultiLaurentPoly, _LaurentCore,
-                      canonical_poly, distinct_root_count, mv_normalize)
+                      distinct_root_count, mv_normalize)
 # unused here; perfbench/layertrace.py traces alexander.gcd_multivariate
 from .laurent import gcd_multivariate  # noqa: F401
 from .snf import poly_det, smith_normal_form
@@ -49,15 +47,11 @@ class AlexanderMatrix:
         out = []
         for entries in self.sparse_rows:
             row = [zero] * self.arc_count
-            if convert is None:
-                for j, x in entries.items():
-                    row[j] = x
-            else:
-                for j, x in entries.items():
-                    y = seen.get(id(x))
-                    if y is None:
-                        y = seen[id(x)] = convert(x)
-                    row[j] = y
+            for j, x in entries.items():
+                y = seen.get(id(x))
+                if y is None:
+                    y = seen[id(x)] = x if convert is None else convert(x)
+                row[j] = y
             out.append(row)
         return out
 
@@ -130,24 +124,34 @@ def alexander_matrix(d, weights=None):
 class AlexanderData:
     """Delta^1..Delta^n, SNF invariant factors, and stratum counts."""
 
-    __slots__ = ("delta_k", "invariant_factors", "strata")
+    __slots__ = ("delta_k", "invariant_factors", "_strata")
 
-    def __init__(self, delta_k, invariant_factors, strata):
+    def __init__(self, delta_k, invariant_factors):
         self.delta_k = tuple(delta_k)
         self.invariant_factors = tuple(invariant_factors)
-        self.strata = tuple(strata)
+        self._strata = None
 
     @property
     def delta(self):
         """Delta^1, the Alexander polynomial."""
         return self.delta_k[0]
 
+    @property
+    def strata(self):
+        """k with the count of roots of Delta^k that are not roots of
+        Delta^(k+1), counted on first read."""
+        if self._strata is None:
+            roots = [None if p.is_zero else distinct_root_count(p)
+                     for p in self.delta_k]
+            self._strata = tuple((k, a - b) for k, (a, b) in enumerate(
+                zip(roots, roots[1:]), 1) if None not in (a, b) and a != b)
+        return self._strata
+
 
 def alexander_data(m):
-    """Smith invariant factors d1 | d2 | ... of m, Delta^1..Delta^n with
-    Delta^k = d1...d_{n-k} from the running products d1, d1 d2, ..., and
-    the strata: k with the count of roots of Delta^k that are not roots
-    of Delta^(k+1).
+    """Smith invariant factors d1 | d2 | ... of m and Delta^1..Delta^n,
+    Delta^k = d1...d_{n-k} from the running products d1, d1 d2, ..., each
+    canonical as its factors are (Gauss's lemma).
 
     Delta^k := 1 when the requested minor size is 0 (k >= n) and := 0
     when minors of that size do not exist or all vanish (split links).
@@ -157,16 +161,10 @@ def alexander_data(m):
     delta_k = [prod]
     for d in factors[:m.arc_count - 1]:
         prod = prod * d
-        delta_k.append(canonical_poly(prod))
+        delta_k.append(prod)
     delta_k += [LaurentPoly.zero()] * (m.arc_count - len(delta_k))
     delta_k.reverse()
-    roots = [None if p.is_zero else distinct_root_count(p) for p in delta_k]
-    strata = []
-    for k in range(1, m.arc_count):
-        upper, lower = roots[k - 1], roots[k]
-        if upper is not None and lower is not None and upper != lower:
-            strata.append((k, upper - lower))
-    return AlexanderData(delta_k, factors, strata)
+    return AlexanderData(delta_k, factors)
 
 
 def fibre_dimension(m, t):
@@ -298,7 +296,5 @@ def knot_delta(d):
     """Delta^1 = d1...d_{n-1} of a crossing list through the Fox route,
     0 with fewer invariant factors (any component count; all weights set
     to the single variable t)."""
-    m = alexander_matrix(d, AbelianWeights.all_t(range(1, d.arc_count + 1)))
-    factors = smith_normal_form(m.univariate_rows())
-    factors += [LaurentPoly.zero()] * (m.arc_count - 1 - len(factors))
-    return canonical_poly(math.prod(factors, start=LaurentPoly.one()))
+    return alexander_data(alexander_matrix(
+        d, AbelianWeights.all_t(range(1, d.arc_count + 1)))).delta

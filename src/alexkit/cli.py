@@ -104,9 +104,9 @@ def _knot_data(verb, text, fmt):
 
 
 def _strata(text, fmt, field):
-    data = _knot_data("strata", text, fmt)
-    lines = ["S^%d = %d" % (k, c) for k, c in data.strata]
-    return ({"strata": [[k, c] for k, c in data.strata]},
+    strata = _knot_data("strata", text, fmt).strata
+    lines = ["S^%d = %d" % (k, c) for k, c in strata]
+    return ({"strata": [[k, c] for k, c in strata]},
             "\n".join(lines) if lines else "none")
 
 

@@ -64,6 +64,15 @@ def _size(n, what, least=0):
     return n
 
 
+def _typed(name, cls, *values):
+    """TypeError unless every value is a `cls`; `name` is the function
+    that was called."""
+    for p in values:
+        if not isinstance(p, cls):
+            raise TypeError("%s takes %s, not %s"
+                            % (name, cls.__name__, type(p).__name__))
+
+
 class _Value:
     """A value type: equal to a value of its exact class with an equal
     `_key()`, and hashed by that key."""
@@ -333,6 +342,7 @@ class LaurentPoly(_LaurentCore):
 def normalize_unit(p):
     """Multiply by +-t^k so the minimum exponent is 0 and the constant
     term is positive."""
+    _typed("normalize_unit", LaurentPoly, p)
     if p.is_zero:
         raise ZeroPolynomial("normalize_unit of the zero polynomial")
     q = p.shifted(-p.min_exp)
@@ -346,6 +356,7 @@ def canonical_poly(p):
     giving coprime coefficients.  Gcds and SNF invariant factors are taken
     over Q[t,t^-1], whose units c*t^k need the scalar pinned as well as
     the sign and shift."""
+    _typed("canonical_poly", LaurentPoly, p)
     if p.is_zero:
         return LaurentPoly.zero()
     return p._new(_primitive_coeffs(normalize_unit(p).coeffs))
@@ -363,6 +374,7 @@ def pseudo_divmod(a, b):
     polynomials, scaling the remainder and the quotient so far by the
     least positive integer that lets b's leading coefficient divide, so
     s = 1 whenever b divides a in Z[t,t^-1]."""
+    _typed("pseudo_divmod", LaurentPoly, a, b)
     if b.is_zero:
         raise ZeroDivisionError("Laurent division by zero")
     if a.is_zero:
@@ -398,6 +410,7 @@ def pseudo_divmod(a, b):
 def gcd_laurent(a, b):
     """Canonical gcd in Q[t,t^-1] by the primitive remainder sequence;
     gcd(0,0) = 0 by convention."""
+    _typed("gcd_laurent", LaurentPoly, a, b)
     if a.is_zero and b.is_zero:
         return LaurentPoly.zero()
     while not b.is_zero:
@@ -411,6 +424,7 @@ def gcd_laurent(a, b):
 
 def distinct_root_count(p):
     """Number of distinct roots of p in C^* (degree of the square-free part)."""
+    _typed("distinct_root_count", LaurentPoly, p)
     if p.is_zero:
         raise ZeroPolynomial("distinct_root_count of the zero polynomial")
     u = p.shifted(-p.min_exp)
@@ -488,11 +502,7 @@ class MultiLaurentPoly(_LaurentCore):
         data = {}
         for exps, c in self.coeffs.items():
             e = sum(exps)
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
+            data[e] = data.get(e, 0) + c
         return LaurentPoly(data)
 
     def __mul__(self, other):
@@ -584,14 +594,23 @@ class MultiLaurentPoly(_LaurentCore):
                         for i, e in enumerate(exps) if e != 0)
 
 
-exact_div = LaurentPoly.__floordiv__
-mv_exact_div = MultiLaurentPoly.__floordiv__
+def exact_div(a, b):
+    """a // b, for a LaurentPoly a."""
+    _typed("exact_div", LaurentPoly, a)
+    return a // b
+
+
+def mv_exact_div(a, b):
+    """a // b, for a MultiLaurentPoly a."""
+    _typed("mv_exact_div", MultiLaurentPoly, a)
+    return a // b
 
 
 def mv_normalize(p):
     """Canonical associate up to the units of Q[t1^{+-1},..,ts^{+-1}]:
     every variable's minimum exponent 0, coprime coefficients,
     lexicographically leading coefficient positive."""
+    _typed("mv_normalize", MultiLaurentPoly, p)
     if p.is_zero:
         return MultiLaurentPoly.zero(p.nvars)
     q = p.shifted(tuple(-m for m in p.min_exps()))
@@ -689,6 +708,7 @@ def gcd_multivariate(polys):
     polys = list(polys)
     if not polys:
         raise ValidationError("gcd_multivariate of an empty list")
+    _typed("gcd_multivariate", MultiLaurentPoly, *polys)
     nvars = polys[0].nvars
     if any(p.nvars != nvars for p in polys):
         raise DimensionMismatch("variable count mismatch")

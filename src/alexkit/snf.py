@@ -39,8 +39,8 @@ from __future__ import annotations
 import heapq
 
 from .errors import DimensionMismatch
-from .laurent import (LaurentPoly, _primitive_coeffs, canonical_poly,
-                      gcd_laurent, pseudo_divmod)
+from .laurent import (LaurentPoly, MultiLaurentPoly, _primitive_coeffs,
+                      _typed, canonical_poly, gcd_laurent, pseudo_divmod)
 
 
 def _primitive_row(row):
@@ -57,6 +57,7 @@ def smith_normal_form(rows):
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     cols = {}
     for i, row in enumerate(sparse):
+        _typed("smith_normal_form", LaurentPoly, *row.values())
         for j in row:
             cols.setdefault(j, set()).add(i)
     # Invariant: every unit entry has a heap item with its cost when it was
@@ -155,8 +156,7 @@ def smith_normal_form(rows):
         for b in range(a + 1, len(chain)):
             g = gcd_laurent(chain[a], chain[b])
             if g != chain[a]:
-                chain[a], chain[b] = g, canonical_poly(
-                    chain[a] * chain[b] // g)
+                chain[a], chain[b] = g, chain[a] * chain[b] // g
     return [LaurentPoly.one() for _ in range(units)] + chain
 
 
@@ -183,6 +183,8 @@ def poly_det(rows, one):
     because Bareiss alone fills in the sparse Fox minors, and its
     products grow with every step.
     """
+    if not isinstance(one, (LaurentPoly, MultiLaurentPoly)):
+        raise TypeError("poly_det takes a Laurent ring's one, not %r" % (one,))
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatch(

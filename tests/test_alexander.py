@@ -1,6 +1,7 @@
 """Fox-route invariants: Alexander matrices, elementary ideals, fibre
 dimensions, virtual classes, ring presentations, multivariable route."""
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -214,6 +215,55 @@ def test_knot_delta_matches_alexander_data_on_links():
     split = braid_closure(parse_braid("3: s1 s1"))
     weights = AbelianWeights.all_t(range(1, split.arc_count + 1))
     assert _check_module_data(split, weights).delta.is_zero
+
+
+def test_knot_delta_is_canonical_product_of_padded_smith_factors():
+    """Delta^1 is the canonical associate of d1...d_{n-1}, zero-padded, on
+    braid closures (knots, links and split links) and on kinked crossing
+    lists with free loops."""
+    rng = random.Random(79)
+    diagrams = [braid_closure(random_braid(rng, max_strands=5, max_len=12))
+                for _ in range(40)]
+    diagrams += [random_crossing_list(rng) for _ in range(60)]
+    diagrams.append(braid_closure(parse_braid("3: s1 s1")))
+    for d in diagrams:
+        m = alexander_matrix(d, AbelianWeights.all_t(range(1, d.arc_count + 1)))
+        factors = smith_normal_form(m.univariate_rows())
+        factors += [LaurentPoly.zero()] * (d.arc_count - 1 - len(factors))
+        want = canonical_poly(math.prod(factors, start=LaurentPoly.one()))
+        assert knot_delta(d) == want, d.render()
+    assert any(d.component_count > 1 for d in diagrams)
+    assert any(knot_delta(d).is_zero for d in diagrams)
+
+
+def test_knot_delta_and_module_count_no_roots(monkeypatch, capsys):
+    """Strata are counted when read, so the Delta^1 route and the module
+    verb never reach distinct_root_count."""
+    def boom(p):
+        raise AssertionError("roots counted")
+
+    monkeypatch.setattr(alexander, "distinct_root_count", boom)
+    d = catalog_lookup("figure8").crossing_list
+    assert knot_delta(d) == LaurentPoly({0: 1, 1: -3, 2: 1})
+    assert run(["module", "--json", "2: s1 s1 s1"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariant_factors"]
+    with pytest.raises(AssertionError):
+        alexander_data(alexander_matrix(d)).strata
+
+
+def test_knot_delta_calls_alexander_data_through_the_module(monkeypatch):
+    """The benchmark's tracer times alexander_data by rebinding this
+    module attribute, so knot_delta must look it up there."""
+    calls = []
+
+    def traced(m):
+        calls.append(m)
+        return alexander_data(m)
+
+    monkeypatch.setattr(alexander, "alexander_data", traced)
+    d = catalog_lookup("trefoil").crossing_list
+    assert knot_delta(d) == LaurentPoly({0: 1, 1: -1, 2: 1})
+    assert len(calls) == 1 and calls[0].variable_count == 1
 
 
 def test_trefoil_module_data():

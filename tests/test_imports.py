@@ -4,7 +4,8 @@ imports only the standard library and its declared dependencies (stdlib
 
 Package `__init__.py` files re-export, and a line marked `# noqa: F401`
 keeps a name that only the benchmark's tracer binds; both are exempt
-from the first check.
+from the first check, and each such line must name a binding that the
+tracer wraps.
 """
 import ast
 import re
@@ -13,29 +14,43 @@ from pathlib import Path
 
 import pytest
 
+from util import traced_bindings
+
 _ROOT = Path(__file__).resolve().parent.parent
 _PACKAGE = sorted((_ROOT / "src" / "alexkit").glob("*.py"))
 _FILES = sorted(p for p in [*_PACKAGE, *(_ROOT / "tests").glob("*.py")]
                 if p.name != "__init__.py")
 
 
-def unused_imports(source):
-    """(line, name) of each imported name that the module never reads."""
-    tree = ast.parse(source)
+def imports(source):
+    """(line, name, marked) of each imported name, `marked` when its
+    import carries `# noqa: F401`."""
     lines = source.splitlines()
-    imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if any("# noqa: F401" in line
-                   for line in lines[node.lineno - 1:node.end_lineno]):
-                continue
+            marked = any("# noqa: F401" in line
+                         for line in lines[node.lineno - 1:node.end_lineno])
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported.append((node.lineno, name))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [(line, name) for line, name in imported if name not in used]
+                yield (node.lineno, alias.asname or alias.name.split(".")[0],
+                       marked)
+
+
+def unused_imports(source):
+    """(line, name) of each unmarked imported name that the module never
+    reads."""
+    used = {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name)}
+    return [(line, name) for line, name, marked in imports(source)
+            if not marked and name not in used]
+
+
+def stale_tracer_imports(owner, source, bindings):
+    """(line, name) of each marked import of module `owner` that is not
+    an (owner, name) binding."""
+    return [(line, name) for line, name, marked in imports(source)
+            if marked and (owner, name) not in bindings]
 
 
 @pytest.mark.parametrize("path", _FILES, ids=lambda p: "%s/%s" % (
@@ -48,6 +63,21 @@ def test_unused_imports_are_found():
     source = ("import os\nimport sys  # noqa: F401\nfrom a import (b,\n"
               "    c)\nfrom d import e as f\nprint(b, f.g)\n")
     assert unused_imports(source) == [(1, "os"), (3, "c")]
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_tracer_only_imports_are_traced(path):
+    assert stale_tracer_imports(path.stem, path.read_text(),
+                                set(traced_bindings())) == []
+
+
+def test_stale_tracer_imports_are_found():
+    source = ("from .laurent import gcd_multivariate  # noqa: F401\n"
+              "from .snf import (poly_det,  # noqa: F401\n"
+              "    smith_normal_form)\nimport os\n")
+    bindings = {("alexander", "gcd_multivariate"), ("tangles", "poly_det")}
+    assert stale_tracer_imports("alexander", source, bindings) == [
+        (2, "poly_det"), (2, "smith_normal_form")]
 
 
 def declared_dependencies(pyproject):

@@ -15,6 +15,7 @@ from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
                              distinct_root_count, exact_div, gcd_laurent,
                              gcd_multivariate, mv_exact_div, mv_normalize,
                              normalize_unit, pseudo_divmod)
+from util import random_poly
 
 _t = sympy.symbols("t")
 _mv_symbols = sympy.symbols("x y z")
@@ -200,6 +201,18 @@ def test_canonical_poly_is_primitive_integer():
     # integer scalings are units of Q[t^+-1] and collapse to one
     # representative
     assert canonical_poly(p * -7) == q
+
+
+def test_products_of_canonical_polys_are_canonical():
+    """Gauss's lemma: a product of canonical factors is canonical, and so
+    is its exact quotient by one of them."""
+    rng = random.Random(83)
+    for _ in range(200):
+        p, q = (canonical_poly(random_poly(rng, max_deg=4, min_exp=-2,
+                                           allow_zero=False))
+                for _ in range(2))
+        assert canonical_poly(p * q) == p * q
+        assert (p * q) // q == p
 
 
 def test_distinct_root_count():

@@ -271,10 +271,8 @@ def test_division_takes_its_ring_or_an_int():
             T1 // (T if bad is T1 else bad)
 
 
-# Calls with an argument of the wrong type that still raise a bare
-# AttributeError, outside the contract of `errors.py`.
-@pytest.mark.xfail(strict=True, raises=AttributeError,
-                   reason="no type check before the first attribute read")
+# Calls with an argument of the wrong type, each checked before its first
+# attribute read.
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: exact_div(0, T), id="exact_div(0, t)"),
     pytest.param(lambda: pseudo_divmod(T, 0), id="pseudo_divmod(t, 0)"),
@@ -288,7 +286,8 @@ def test_division_takes_its_ring_or_an_int():
     pytest.param(lambda: poly_det([[1]], 1), id="poly_det([[1]], 1)"),
     pytest.param(lambda: smith_normal_form([[1]]),
                  id="smith_normal_form([[1]])"),
+    pytest.param(lambda: mv_exact_div(0, T1), id="mv_exact_div(0, t1)"),
 ])
 def test_wrong_types_raise_type_error(call):
-    with pytest.raises((AlexkitError, TypeError)):
+    with pytest.raises(TypeError):
         call()

@@ -1,6 +1,10 @@
 """Shared helpers for the test suite: seeded random braids, random
-Laurent polynomials, random crossing lists, the word-based Fox rows, and
-random well-typed tangle expressions."""
+Laurent polynomials, random crossing lists, the word-based Fox rows,
+random well-typed tangle expressions, and the alexkit bindings that the
+benchmark's tracer wraps."""
+import importlib.util
+from pathlib import Path
+
 from alexkit import BraidWord
 from alexkit.codes import Crossing, CrossingList
 from alexkit.fox import fox_derivative_abelianized, reduce_word
@@ -106,3 +110,16 @@ def random_tangle_expr(rng, max_gens=12):
             break
     assert expr is not None
     return expr
+
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+def traced_bindings():
+    """The sorted (module, attribute) pairs inside alexkit that
+    perfbench/layertrace.py's BINDINGS wraps, read from that file."""
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sorted({binding for bindings in module.BINDINGS.values()
+                   for binding in bindings if binding[0] != "api"})
