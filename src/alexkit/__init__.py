@@ -23,8 +23,8 @@ from .fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
 from .fox import (AbelianWeights, FreeWord, abelianize,
                   fox_derivative_abelianized, reduce_word)
 from .laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                      distinct_root_count, exact_div, gcd_laurent,
-                      gcd_multivariate, normalize_unit)
+                      distinct_root_count, gcd_laurent, gcd_multivariate,
+                      normalize_unit)
 from .snf import poly_det, smith_normal_form
 from .tangles import (Compose, Gen, Span, Tensor, braid_closure_expr,
                       braid_expr, closed_tangle_delta, compose_spans,

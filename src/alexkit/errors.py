@@ -2,18 +2,21 @@
 
 Every error alexkit raises is an `AlexkitError`, except three built-in
 ones that are part of its contract:
-- `ValueError` for an inexact `//` (`exact_div`, `mv_exact_div`);
+- `ValueError` for an inexact `//`, the one exact division;
 - `ZeroDivisionError` for a division by zero in `//` and `pseudo_divmod`;
 - `TypeError` for an argument of the wrong type, such as
   `evaluate_tangle(1, field)`, `RationalPoint(None)`, `t // 1.5`, or an
   int or the other ring's polynomial where a Laurent polynomial is
   expected (`canonical_poly(3)`, `mv_normalize(t)`,
   `smith_normal_form([[1]])`, `poly_det([[1]], 1)`).
+A non-finite point or one that is no number raises `ValidationError`,
+as in `RationalPoint("x")` and `t.evaluate(float("nan"))`.
 A non-integral number where an integer is expected raises
 `ValidationError`, as do a size out of range (negative, no strand or
 arc, or past sys.maxsize) and a `ComplexPoint` tolerance outside [0, 1);
-unequal variable counts raise `DimensionMismatch`, and `to_laurent` of
-several variables `UseMultivariableRoute`.
+unequal variable counts and ragged matrix rows raise
+`DimensionMismatch`, and `to_laurent` of several variables
+`UseMultivariableRoute`.
 """
 
 

@@ -19,13 +19,14 @@ import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotAUnit, ValidationError
-from .laurent import LaurentPoly, _size, gcd_laurent
+from .laurent import LaurentPoly, _size, _Value, gcd_laurent
 
 
-class ScalarField:
+class ScalarField(_Value):
     """Ring of scalars at which a tangle or braid is evaluated, holding
     its value of t as `t` and that value's inverse as `tinv`; scalars
-    combine by the arithmetic operators.
+    combine by the arithmetic operators.  Two fields of one class with
+    equal data (`_key()`) are equal.
     The shared bodies serve the fixed points t, whose scalars are numbers.
 
     An exact field also maps a Mat to sparse rows over an integral ring,
@@ -50,6 +51,9 @@ class GenericTField(ScalarField):
         self.tinv = LaurentPoly.monomial(-1)
         self.zero = LaurentPoly.zero()
         self.one = LaurentPoly.one()
+
+    def _key(self):
+        return ()
 
     def from_laurent(self, p):
         return p
@@ -88,6 +92,9 @@ class RationalPoint(ScalarField):
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self.tinv = self.one / t
+
+    def _key(self):
+        return self.t
 
     def integral_rows(self, m):
         """Each row's nonzero entries times the lcm of their denominators:
@@ -128,6 +135,9 @@ class ComplexPoint(ScalarField):
         self.zero = 0j
         self.one = 1 + 0j
         self.tinv = self.one / t
+
+    def _key(self):
+        return self.t, self.tol
 
 
 class Mat:

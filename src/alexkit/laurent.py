@@ -22,6 +22,7 @@ on the operands shifted to minimum exponent 0 in every variable.
 """
 from __future__ import annotations
 
+import cmath
 import sys
 from fractions import Fraction
 from functools import partial
@@ -324,18 +325,29 @@ class LaurentPoly(_LaurentCore):
                           if e != 0})
 
     def evaluate(self, x):
-        """Evaluate at x != 0; exact for Fraction/int x, float for complex x."""
-        if x == 0:
-            raise NotAUnit("cannot evaluate a Laurent polynomial at t = 0")
+        """Evaluate at x != 0; exact for Fraction/int x, float for complex x.
+        As in `RationalPoint` and `ComplexPoint`, a point that is not a
+        finite number raises ValidationError and t = 0 NotAUnit."""
         if isinstance(x, (complex, float)):
             x = complex(x)
+            if not cmath.isfinite(x):
+                raise ValidationError("t = %r is not a finite evaluation "
+                                      "point" % x)
+        else:
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise ValidationError("t = %r is not a rational number"
+                                      % (x,))
+        if x == 0:
+            raise NotAUnit("cannot evaluate a Laurent polynomial at t = 0")
+        if type(x) is complex:
             try:
                 return sum((float(c) * x ** e
                             for e, c in self.coeffs.items()), 0j)
             except (OverflowError, ZeroDivisionError):  # past the floats
                 raise ValidationError("complex t=%s is out of floating-point "
                                       "range" % x)
-        x = Fraction(x)
         return sum((c * x ** e for e, c in self.coeffs.items()), Fraction(0))
 
 
@@ -592,18 +604,6 @@ class MultiLaurentPoly(_LaurentCore):
     def _varpart(self, exps):
         return " ".join(_var_power("t%d" % (i + 1), e)
                         for i, e in enumerate(exps) if e != 0)
-
-
-def exact_div(a, b):
-    """a // b, for a LaurentPoly a."""
-    _typed("exact_div", LaurentPoly, a)
-    return a // b
-
-
-def mv_exact_div(a, b):
-    """a // b, for a MultiLaurentPoly a."""
-    _typed("mv_exact_div", MultiLaurentPoly, a)
-    return a // b
 
 
 def mv_normalize(p):

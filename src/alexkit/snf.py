@@ -26,10 +26,11 @@ to the input, and replacing each pair (a, b) of its entries with (gcd,
 lcm) makes it a divisibility chain (Newman, Integral Matrices, 1972).
 
 `poly_det` is one sparse elimination loop too, whose pivot is the unit
-+-t^k of least Markowitz cost or else an entry of fewest terms: unit
-steps clear the pivot's column exactly until the first non-unit pivot,
-and fraction-free Bareiss steps, whose divisions are exact in the
-Laurent ring over Z, follow it.  The three routes reduce with
++-t^k of least Markowitz cost or else an entry of fewest terms, and
+whose one row update is a fraction-free Bareiss step, its divisions
+exact in the Laurent ring over Z; until the first non-unit pivot, a unit
+pivot is first divided out of its row, so the step clears its column
+exactly.  The three routes reduce with
 three codes: the Fox route with `smith_normal_form`, the Burau and
 multivariable routes with `poly_det`, and closed tangles with the
 fraction-free pass in `alexkit.fields`.  So each route checks the others
@@ -53,7 +54,12 @@ def _primitive_row(row):
 
 def smith_normal_form(rows):
     """Invariant factors d1 | d2 | ... | dr of a LaurentPoly matrix,
-    each in canonical form; the empty list for a zero or empty matrix."""
+    each in canonical form; the empty list for a zero or empty matrix.
+    Rows of unequal lengths raise `DimensionMismatch`."""
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise DimensionMismatch("ragged matrix: rows of lengths %s"
+                                % sorted(lengths))
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     cols = {}
     for i, row in enumerate(sparse):
@@ -169,18 +175,19 @@ def poly_det(rows, one):
     One elimination loop over rows stored as {column: entry}.  The pivot
     is the unit +-t^k (a +-monomial in several variables) of least
     Markowitz cost (r - 1)(c - 1), or else an entry of fewest terms, such
-    as c*t^k with |c| > 1.  Until the first
-    non-unit pivot, a step clears the pivot's column exactly, since the
-    pivot is invertible, and expanding along that column leaves +-pivot
-    times the determinant of what remains.  From the first non-unit pivot
-    on, every remaining row becomes (pivot * row - f * pivot row) /
-    previous pivot, f its entry in the pivot column, each division exact
-    in the Laurent ring over Z (Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 22, 1968; any
-    pivot order will do), and the last pivot is the determinant of what
-    the unit steps left.  The sign of each step is (-1)^(i + k) for the
-    pivot's row and column positions among those left.  Units go first
-    because Bareiss alone fills in the sparse Fox minors, and its
+    as c*t^k with |c| > 1.  Each step makes every remaining row
+    (pivot * row - f * pivot row) / previous pivot, f its entry in the
+    pivot column, each division exact in the Laurent ring over Z
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968; any pivot order will
+    do), and the last pivot is the determinant of the matrix those steps
+    started from.  Until the first non-unit pivot, a unit pivot u is
+    divided out of its row and into the result, leaving pivot 1 and no
+    previous pivot: the step is row - f * pivot row, on the rows with an
+    entry f, and expanding along the cleared column leaves u times the
+    determinant of what remains.  The sign of each step is (-1)^(i + k)
+    for the pivot's row and column positions among those left.  Units go
+    first because Bareiss alone fills in the sparse Fox minors, and its
     products grow with every step.
     """
     if not isinstance(one, (LaurentPoly, MultiLaurentPoly)):
@@ -190,8 +197,9 @@ def poly_det(rows, one):
         raise DimensionMismatch(
             "determinant of a non-square matrix: %d rows of lengths %s"
             % (n, sorted({len(row) for row in rows})))
-    live = [{j: x for j, x in enumerate(row) if not x.is_zero}
-            for row in rows]
+    live = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    for row in live:
+        _typed("poly_det", type(one), *row.values())
     cols = list(range(n))
     factor = one
     prev = None
@@ -221,24 +229,14 @@ def poly_det(rows, one):
         del cols[k]
         if (i + k) % 2:
             factor = -factor
-        if prev is None and pivot.is_unit():
+        unit = prev is None and pivot.is_unit()
+        if unit:  # divided by its unit, the pivot row has pivot 1
             factor = factor * pivot
             inverse = pivot.term_inverse()
-            scaled = {c: x * inverse for c, x in pivot_row.items()}
-            for row in live:
-                f = row.pop(j, None)
-                if f is None:
-                    continue
-                for c, x in scaled.items():
-                    new = row[c] - f * x if c in row else -(f * x)
-                    if new.is_zero:
-                        row.pop(c, None)
-                    else:
-                        row[c] = new
-            continue
+            pivot_row = {c: x * inverse for c, x in pivot_row.items()}
         for r, row in enumerate(live):
             f = row.pop(j, None)
-            new = {c: pivot * x for c, x in row.items()}
+            new = row if unit else {c: pivot * x for c, x in row.items()}
             if f is not None:
                 for c, y in pivot_row.items():
                     x = new.get(c)
@@ -249,5 +247,6 @@ def poly_det(rows, one):
                         new[c] = x
             live[r] = new if prev is None else {
                 c: x // prev for c, x in new.items()}
-        prev = pivot
+        if not unit:
+            prev = pivot
     return factor if prev is None else factor * prev

@@ -234,7 +234,7 @@ def generator_span(name, field):
 
 def compose_spans(s1, s2):
     """Pullback composition: mid = ker [g1 | -f2] inside mid1 + mid2."""
-    if s1.field is not s2.field:
+    if s1.field != s2.field:
         raise DimensionMismatch("spans over different fields")
     if s1.tgt_dim != s2.src_dim:
         raise DimensionMismatch("target dim %d != source dim %d"
@@ -256,7 +256,7 @@ def tensor_spans(*spans):
     if not spans:
         raise ValidationError("tensor_spans needs at least one span")
     field = spans[0].field
-    if any(s.field is not field for s in spans):
+    if any(s.field != field for s in spans):
         raise DimensionMismatch("spans over different fields")
     mid = sum(s.mid_dim for s in spans)
 
@@ -290,7 +290,7 @@ def evaluate_tangle(expr, field):
 def spans_equivalent(s1, s2):
     """Equivalence of linear spans: equal mid dimensions and equal images
     of the stacked maps (left over right) in src + tgt."""
-    if s1.field is not s2.field:
+    if s1.field != s2.field:
         raise DimensionMismatch("spans over different fields")
     if s1.src_dim != s2.src_dim or s1.tgt_dim != s2.tgt_dim:
         raise DimensionMismatch("boundary dimensions differ")

@@ -19,7 +19,7 @@ from alexkit.errors import DimensionMismatch, ValidationError
 from alexkit.fields import (ComplexPoint, GenericTField, Mat, RationalPoint,
                             _fraction_free, column_space_equal, kernel_basis,
                             mat_mul, mat_rank)
-from alexkit.laurent import LaurentPoly, exact_div, gcd_laurent
+from alexkit.laurent import LaurentPoly, gcd_laurent
 from alexkit.tangles import (braid_expr, evaluate_tangle, parse_tangle,
                              tangle_linear_system, tangle_system)
 from util import random_braid
@@ -73,7 +73,7 @@ def _laurent_rows(entries):
         den = LaurentPoly.one()
         for _, q in row:
             den = den * q
-        out.append([exact_div(p * den, q) for p, q in row])
+        out.append([p * den // q for p, q in row])
     return out
 
 
@@ -191,18 +191,18 @@ def _dense_integral_rows(field, m):
     """Dense reference: at a rational t every row times the lcm of its
     denominators; at generic t the rows as they are."""
     if isinstance(field, GenericTField):
-        return [list(row) for row in m.rows], exact_div
+        return [list(row) for row in m.rows]
     out = []
     for row in m.rows:
         den = math.lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
-    return out, lambda a, b: a // b
+    return out
 
 
 def _dense_fraction_free(field, m, full):
     """Dense reference Bareiss loop: every entry of every row, zeros
     included, is rewritten at each pivot."""
-    rows, divide = _dense_integral_rows(field, m)
+    rows = _dense_integral_rows(field, m)
     nrows = len(rows)
     pivots = []
     prev = None
@@ -226,7 +226,7 @@ def _dense_fraction_free(field, m, full):
             else:
                 row = [pivot * x for x in row]
             if prev is not None:
-                row = [divide(x, prev) if x else x for x in row]
+                row = [x // prev if x else x for x in row]
             rows[i] = row
         prev = pivot
         pivots.append(col)

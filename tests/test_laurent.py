@@ -12,9 +12,9 @@ from alexkit.errors import (DimensionMismatch, NotAUnit, ValidationError,
                             ZeroPolynomial)
 from alexkit.fox import AbelianWeights
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                             distinct_root_count, exact_div, gcd_laurent,
-                             gcd_multivariate, mv_exact_div, mv_normalize,
-                             normalize_unit, pseudo_divmod)
+                             distinct_root_count, gcd_laurent,
+                             gcd_multivariate, mv_normalize, normalize_unit,
+                             pseudo_divmod)
 from util import random_poly
 
 _t = sympy.symbols("t")
@@ -113,13 +113,13 @@ def test_divmod_is_division_with_remainder(a, b, m):
     """s*a = q*b + r with spread(r) < spread(b), a positive int s and int
     coefficients; s = 1 and r = 0 when b divides a, and dividing by 2t
     is exact iff every coefficient is even.  Every example divides by a
-    general polynomial b and by a mixed operand m; `//` is exact_div."""
+    general polynomial b and by a mixed operand m; `//` is exact."""
     two_t = LaurentPoly.monomial(1, 2)
     if any(c % 2 for c in a.coeffs.values()):
         with pytest.raises(ValueError):
-            exact_div(a, two_t)
+            a // two_t
     else:
-        assert exact_div(a, two_t) * two_t == a == a // two_t * two_t
+        assert a // two_t * two_t == a
     for b in (b, m):
         if b.is_zero:
             with pytest.raises(ZeroDivisionError):
@@ -131,8 +131,7 @@ def test_divmod_is_division_with_remainder(a, b, m):
         assert r.is_zero or r.spread < b.spread
         assert _all_int(q) and _all_int(r)
         assert pseudo_divmod(a * b, b) == (1, a, LaurentPoly.zero())
-        assert exact_div(a * b, b) == a and _all_int(exact_div(a * b, b))
-        assert a * b // b == exact_div(a * b, b)
+        assert a * b // b == a and _all_int(a * b // b)
 
 
 def test_pseudo_divmod_by_non_monic_divisors():
@@ -156,7 +155,7 @@ def test_pseudo_divmod_by_non_monic_divisors():
                          LaurentPoly({0: 1, 1: 2})) == (
         8, LaurentPoly({0: 1, 1: -2, 2: 4}), LaurentPoly({0: 7}))
     with pytest.raises(ValueError):
-        exact_div(LaurentPoly({0: 1}), LaurentPoly({0: 2}))
+        LaurentPoly({0: 1}) // LaurentPoly({0: 2})
 
 
 @given(poly_strategy(), poly_strategy())
@@ -176,9 +175,9 @@ def test_gcd_matches_sympy(a, b):
     assert got == expected
     # and the gcd really divides both
     if not a.is_zero:
-        exact_div(a, g)
+        a // g
     if not b.is_zero:
-        exact_div(b, g)
+        b // g
 
 
 def test_normalize_unit_canonical():
@@ -225,11 +224,19 @@ def test_distinct_root_count():
 
 
 def test_evaluate_points():
+    """Exact at a rational point, floating at a complex one; as for
+    `RationalPoint` and `ComplexPoint`, t = 0 raises NotAUnit and a point
+    that is no finite number ValidationError."""
     p = LaurentPoly({-1: 1, 1: 2})
-    assert p.evaluate(Fraction(2)) == Fraction(1, 2) + 4
+    assert p.evaluate(Fraction(2)) == p.evaluate("2") == Fraction(1, 2) + 4
     assert abs(p.evaluate(1j) - (1j ** -1 + 2j)) < 1e-12
-    with pytest.raises(NotAUnit):
-        p.evaluate(Fraction(0))
+    for zero in (Fraction(0), 0.0, "0"):
+        with pytest.raises(NotAUnit):
+            p.evaluate(zero)
+    nan, inf = float("nan"), float("inf")
+    for bad in ("x", "1/0", nan, inf, -inf, complex(1, nan)):
+        with pytest.raises(ValidationError):
+            p.evaluate(bad)
 
 
 def test_multivariable_roundtrip_and_collapse():
@@ -257,7 +264,7 @@ def test_gcd_multivariate_matches_sympy():
         assert got_s == want
 
 
-def test_mv_exact_div_laurent_quotients():
+def test_multivariate_floordiv_laurent_quotients():
     """(p*q)/q == p in the Laurent ring, in 1, 2 and 3 variables, with
     negative exponents in every variable of p and q; an inexact division
     raises ValueError, also where the quotient would need a negative
@@ -266,8 +273,8 @@ def test_mv_exact_div_laurent_quotients():
         t = [MultiLaurentPoly.variable(i, nvars) for i in range(1, nvars + 1)]
         one = MultiLaurentPoly.one(nvars)
         for x in t:
-            assert mv_exact_div(x.term_inverse(), one) == x.term_inverse()
-            assert mv_exact_div(one, x) == x.term_inverse()
+            assert x.term_inverse() // one == x.term_inverse()
+            assert one // x == x.term_inverse()
     rng = random.Random(17)
     for _ in range(20):
         nvars = rng.choice((1, 2, 3))
@@ -275,27 +282,27 @@ def test_mv_exact_div_laurent_quotients():
             (-1,) * nvars)
         q = _random_mv(rng, nvars, min_exp=-2) * MultiLaurentPoly.monomial(
             (-2,) * nvars)
-        assert mv_exact_div(p * q, q) == p
+        assert p * q // q == p
         m = MultiLaurentPoly.monomial(
             [rng.randint(-4, 4) for _ in range(nvars)],
             rng.choice((-5, -3, -2, -1, 1, 2, 4, 5)))
-        assert mv_exact_div(p * m, m) == p
+        assert p * m // m == p
         two_t1 = MultiLaurentPoly.monomial((1,) + (0,) * (nvars - 1), 2)
-        assert mv_exact_div(p * two_t1, two_t1) == p
+        assert p * two_t1 // two_t1 == p
         if any(c % 2 for c in p.coeffs.values()):
             with pytest.raises(ValueError):
-                mv_exact_div(p, two_t1)
+                p // two_t1
     t1, t2 = (MultiLaurentPoly.variable(i, 2) for i in (1, 2))
     one = MultiLaurentPoly.one(2)
     for p, d in ((t1 + t2, t1 - t2), (t2, t1 + t2), (one, one + t1),
                  (t1 * t2 * 3, t1 * 2)):
         with pytest.raises(ValueError):
-            mv_exact_div(p, d)
+            p // d
     with pytest.raises(DimensionMismatch):
-        mv_exact_div(one, MultiLaurentPoly.one(3))
+        one // MultiLaurentPoly.one(3)
     x, one = MultiLaurentPoly.variable(1, 1), MultiLaurentPoly.one(1)
     with pytest.raises(ValueError):
-        mv_exact_div(x * x + one, x + one)
+        (x * x + one) // (x + one)
 
 
 def _random_mv(rng, nvars=2, min_exp=0):
@@ -340,17 +347,17 @@ def test_integer_polynomials_keep_int_coefficients():
     for _ in range(25):
         a, b, c = (_int_poly(rng) for _ in range(3))
         assert _all_int(a) and _all_int(b)
-        for p in (a + b, a - b, a * b, exact_div(a * b, b),
+        for p in (a + b, a - b, a * b, a * b // b,
                   canonical_poly(a), gcd_laurent(a * c, b * c)):
             assert _all_int(p)
-        assert exact_div(a * b, b) == a == a * b // b
+        assert a * b // b == a
     for _ in range(20):
         nvars = rng.choice((2, 3))
         a, b, c = (_int_mv(rng, nvars) for _ in range(3))
-        for p in (a + b, a * b, mv_exact_div(a * b, b), mv_normalize(a),
+        for p in (a + b, a * b, a * b // b, mv_normalize(a),
                   gcd_multivariate([a * c, b * c])):
             assert _all_int(p)
-        assert mv_exact_div(a * b, b) == a == a * b // b
+        assert a * b // b == a
 
 
 def test_non_integral_coefficients_and_non_units_raise_typed_errors():

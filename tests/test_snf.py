@@ -14,8 +14,7 @@ from alexkit.codes import braid_closure
 from alexkit.errors import DimensionMismatch
 from alexkit.fox import AbelianWeights
 from alexkit.laurent import (LaurentPoly, MultiLaurentPoly, canonical_poly,
-                             exact_div, gcd_laurent, mv_exact_div,
-                             normalize_unit)
+                             gcd_laurent, normalize_unit)
 from alexkit.snf import poly_det, smith_normal_form
 from util import random_braid, random_poly
 
@@ -172,7 +171,7 @@ def test_snf_divisibility_chain():
                 for _ in range(3)]
         factors = smith_normal_form(rows)
         for a, b in zip(factors, factors[1:]):
-            exact_div(b, a)  # raises unless a | b
+            b // a  # raises unless a | b
 
 
 def test_snf_known_diagonal():
@@ -209,7 +208,8 @@ def _sympy_det(exprs, gens):
 def _det_matrix(rng, n, kind, entry, unit, non_unit):
     """An n x n matrix of one kind: dense; a first column with zeros on
     top, so that the first pivot is found further down; singular, with a
-    last row that combines the others; all-unit rows; no unit at all."""
+    last row that combines the others; all-unit rows; no unit at all; no
+    unit until the first, fraction-free, step makes one."""
     rows = [[entry() for _ in range(n)] for _ in range(n)]
     if kind == "zeros_on_top":
         for row in rows[:-1]:
@@ -223,13 +223,28 @@ def _det_matrix(rng, n, kind, entry, unit, non_unit):
     elif kind == "unit_rows":
         for row in rows[::2]:
             row[:] = [unit() for _ in range(n)]
-    elif kind == "no_units":
+    elif kind in ("no_units", "late_unit"):
         rows = [[non_unit() if rng.random() < 0.8 else entry() - entry()
                  for _ in range(n)] for _ in range(n)]
+        if kind == "late_unit" and n > 1:
+            # the first pivot, 2, leaves the unit 2 * 5 - 3 * 3 = 1
+            u = unit()
+            one = u // u
+            rows[0][:2] = [one * 2, one * 3]
+            rows[1][:2] = [one * 3, one * 5]
     return rows
 
 
-_DET_KINDS = ("dense", "zeros_on_top", "singular", "unit_rows", "no_units")
+_DET_KINDS = ("dense", "zeros_on_top", "singular", "unit_rows", "no_units",
+              "late_unit")
+
+
+def _det(rows, one):
+    """poly_det(rows, one), checking that it leaves the rows unchanged."""
+    before = [[dict(x.coeffs) for x in row] for row in rows]
+    det = poly_det(rows, one)
+    assert [[x.coeffs for x in row] for row in rows] == before
+    return det
 
 
 def test_poly_det_matches_sympy():
@@ -240,7 +255,7 @@ def test_poly_det_matches_sympy():
                 rng, n, kind,
                 lambda: random_poly(rng, max_deg=2, min_exp=-1),
                 lambda: _unit(rng), lambda: _non_unit(rng))
-            det = poly_det(rows, LaurentPoly.one())
+            det = _det(rows, LaurentPoly.one())
             want = _sympy_det([[_to_sympy(x) for x in r] for r in rows],
                               [_t])
             assert {(e,): c for e, c in det.coeffs.items()} == want, (n, kind)
@@ -276,7 +291,7 @@ def test_poly_det_multivariate_matches_sympy():
                     lambda: _mv_entry(rng, nvars, rng.randint(0, 3)),
                     lambda: _mv_entry(rng, nvars, 1),
                     lambda: _mv_non_unit(rng, nvars))
-                det = poly_det(rows, MultiLaurentPoly.one(nvars))
+                det = _det(rows, MultiLaurentPoly.one(nvars))
                 want = _sympy_det([[_mv_to_sympy(x, xs) for x in r]
                                    for r in rows], xs)
                 assert det.coeffs == want, (nvars, n, kind)
@@ -305,10 +320,6 @@ def _two_phase_det(rows, one):
     Markowitz cost clear their columns, then the rest is densified and reduced by
     forward Bareiss elimination, each pivot a nonzero entry of fewest
     terms swapped into place by a row and a column swap."""
-    if isinstance(one, MultiLaurentPoly):
-        divide, invert = mv_exact_div, MultiLaurentPoly.term_inverse
-    else:
-        divide, invert = exact_div, lambda p: p ** -1
     zero = one - one
     live = [{j: x for j, x in enumerate(row) if not x.is_zero}
             for row in rows]
@@ -334,7 +345,7 @@ def _two_phase_det(rows, one):
         k = cols.index(j)
         del cols[k]
         factor = factor * pivot if (i + k) % 2 == 0 else -(factor * pivot)
-        scaled = {c: x * invert(pivot) for c, x in pivot_row.items()}
+        scaled = {c: x * pivot.term_inverse() for c, x in pivot_row.items()}
         for row in live:
             f = row.pop(j, None)
             if f is None:
@@ -365,7 +376,7 @@ def _two_phase_det(rows, one):
         for row in m[k + 1:]:
             for j in range(k + 1, n):
                 x = top[k] * row[j] - row[k] * top[j]
-                row[j] = x if prev is None else divide(x, prev)
+                row[j] = x if prev is None else x // prev
         prev = top[k]
     return factor * m[n - 1][n - 1] if n else factor
 
@@ -400,7 +411,7 @@ def test_poly_det_matches_two_phase_oracle():
             rows = _oracle_matrix(
                 rng, n, lambda: random_poly(rng, max_deg=2, min_exp=-1),
                 lambda: _unit(rng))
-            det = poly_det(rows, LaurentPoly.one())
+            det = _det(rows, LaurentPoly.one())
             assert det == _two_phase_det(rows, LaurentPoly.one()), n
             singular += det.is_zero
         for nvars in (1, 2) if n == 7 else (1, 2, 3):
@@ -409,7 +420,7 @@ def test_poly_det_matches_two_phase_oracle():
                     rng, n, lambda: _mv_entry(rng, nvars, 2),
                     lambda: _mv_entry(rng, nvars, 1))
                 one = MultiLaurentPoly.one(nvars)
-                assert poly_det(rows, one) == _two_phase_det(rows, one), (
+                assert _det(rows, one) == _two_phase_det(rows, one), (
                     nvars, n)
     assert singular >= 10
 

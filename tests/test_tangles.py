@@ -181,6 +181,27 @@ def test_span_equivalence_discriminates():
         spans_equivalent(ev, cup_cap)
 
 
+@pytest.mark.parametrize("make, other", [
+    (GenericTField, lambda: RationalPoint(2)),
+    (lambda: RationalPoint(2), lambda: RationalPoint(3)),
+    (lambda: ComplexPoint(2), lambda: ComplexPoint(2, 1e-6)),
+    (lambda: ComplexPoint(2), lambda: RationalPoint(2)),
+], ids=["generic", "rational", "complex", "complex-rational"])
+def test_fields_are_values(make, other):
+    """Spans over two equal fields compose, tensor and compare; spans over
+    fields of another class or other data raise DimensionMismatch."""
+    f, g = make(), make()
+    assert f is not g and f == g and hash(f) == hash(g) and f != other()
+    xp, xm = generator_span("xp", f), generator_span("xm", g)
+    assert spans_equivalent(compose_spans(xp, xm), identity_span(g, 2))
+    assert tensor_spans(xp, xm).mid_dim == 4
+    assert spans_equivalent(xp, generator_span("xp", g))
+    alien = generator_span("xm", other())
+    for call in (compose_spans, tensor_spans, spans_equivalent):
+        with pytest.raises(DimensionMismatch):
+            call(xp, alien)
+
+
 def test_category_laws_random():
     rng = random.Random(61)
     f = RationalPoint(3)
