@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from .errors import EmptyMatrix, RouteDisagreement, ValidationError
 from .fields import GenericTField, Mat, kernel_basis, mat_identity
-from .laurent import LaurentPoly, _Value, canonical_poly, normalize_unit
+from .laurent import (LaurentPoly, _typed, _Value, canonical_poly,
+                      normalize_unit)
 from .snf import poly_det
 from .tangles import Span
 
@@ -88,6 +89,7 @@ def _id_minus(rows, one, skip=None):
 def span_trace_fix(m, field):
     """Span trace of a Burau matrix: 0 <- Fix(m) -> 0 with
     Fix(m) = ker(Id - m) over the given field."""
+    _typed("span_trace_fix", BurauMatrix, m)
     rows = [map(field.from_laurent, row) for row in m.rows]
     dim = kernel_basis(field, Mat(_id_minus(rows, field.one),
                                   m.strands)).ncols

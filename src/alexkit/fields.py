@@ -1,15 +1,14 @@
 """Scalar fields (generic t, fixed rational t, fixed complex t) and the
 matrix routines used by span composition: kernels, ranks, column spaces.
 
-At generic t the scalars are Laurent polynomials in Z[t^+-1]: a span is
-fixed only up to column scaling, so its maps can stay Laurent matrices,
-and besides t the generators need only the unit t^-1, which every field
-holds as `tinv`.  Exact kernels and ranks use one fraction-free
-elimination: each exact field gives its rows over an integral ring, Z at
-a rational t (scaled by their denominators) and Z[t^+-1] at generic t,
-as sparse {column: entry} maps of their nonzero entries, and turns each
-kernel column of that ring into its scalars at the end.  The SVD, and so
-numpy, runs only at complex t.
+A span is fixed only up to scaling both of its maps together, so on an
+exact field its scalars stay in an integral ring: Z[t^+-1] at generic t,
+Z at a rational t.  Each field holds t and t^-1 as fractions of its
+scalars, `ratios`, so no generator leg divides.  Exact kernels and ranks
+use one fraction-free elimination: each exact field gives its rows over
+its ring (at a rational t times their denominators) as sparse {column:
+entry} maps of their nonzero entries, and makes each kernel column
+primitive.  The SVD, and so numpy, runs only at complex t.
 """
 from __future__ import annotations
 
@@ -17,21 +16,22 @@ import cmath
 import math
 import operator
 from fractions import Fraction
+from numbers import Real
 
 from .errors import DimensionMismatch, NotAUnit, ValidationError
-from .laurent import LaurentPoly, _size, _Value, gcd_laurent
+from .laurent import LaurentPoly, _size, _typed, _Value, gcd_laurent
 
 
 class ScalarField(_Value):
     """Ring of scalars at which a tangle or braid is evaluated, holding
-    its value of t as `t` and that value's inverse as `tinv`; scalars
-    combine by the arithmetic operators.  Two fields of one class with
-    equal data (`_key()`) are equal.
+    its value of t as `t` and ((r, s), (q, p)) with t = r/s and t^-1 = q/p
+    as `ratios`; scalars combine by the arithmetic operators.  Two fields
+    of one class with equal data (`_key()`) are equal.
     The shared bodies serve the fixed points t, whose scalars are numbers.
 
-    An exact field also maps a Mat to sparse rows over an integral ring,
+    An exact field also maps a Mat to sparse rows over its integral ring,
     Z or Z[t^+-1], whose exact division is `//` (`integral_rows`), and
-    turns a kernel column of that ring into scalars (`kernel_column`)."""
+    makes a kernel column of that ring primitive (`kernel_column`)."""
 
     exact = True
 
@@ -48,9 +48,9 @@ class GenericTField(ScalarField):
 
     def __init__(self):
         self.t = LaurentPoly.t()
-        self.tinv = LaurentPoly.monomial(-1)
         self.zero = LaurentPoly.zero()
         self.one = LaurentPoly.one()
+        self.ratios = ((self.t, self.one), (self.t.term_inverse(), self.one))
 
     def _key(self):
         return ()
@@ -62,7 +62,7 @@ class GenericTField(ScalarField):
         """Each row's nonzero entries, already over Z[t^+-1]."""
         return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
 
-    def kernel_column(self, col, d):
+    def kernel_column(self, col):
         """The column divided by the gcd of its entries: primitive."""
         g = LaurentPoly.zero()
         for x in col.values():
@@ -76,7 +76,8 @@ class GenericTField(ScalarField):
 
 
 class RationalPoint(ScalarField):
-    """Exact evaluation at a fixed nonzero rational t."""
+    """Exact evaluation at a fixed nonzero rational t, over the ints.  A
+    `Real` t that `Fraction` refuses (a numpy float) is read as a float."""
 
     def __init__(self, t):
         if t != t or t in (math.inf, -math.inf):  # NaN, or an infinity
@@ -86,12 +87,15 @@ class RationalPoint(ScalarField):
             t = Fraction(t)
         except (ValueError, ZeroDivisionError):
             raise ValidationError("t = %r is not a rational number" % (t,))
+        except TypeError:  # a Real that Fraction refuses: numpy floats
+            if not isinstance(t, Real):
+                raise
+            t = Fraction(float(t))
         if t == 0:
             raise NotAUnit("t = 0 is not an allowed evaluation point")
         self.t = t
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-        self.tinv = self.one / t
+        self.zero, self.one = 0, 1
+        self.ratios = (t.as_integer_ratio(), (1 / t).as_integer_ratio())
 
     def _key(self):
         return self.t
@@ -107,9 +111,10 @@ class RationalPoint(ScalarField):
                         for j, x in nonzero})
         return out
 
-    def kernel_column(self, col, d):
-        """The column divided by d."""
-        return {i: Fraction(x, d) for i, x in col.items()}
+    def kernel_column(self, col):
+        """The column divided by the gcd of its entries: primitive."""
+        g = math.gcd(*col.values())
+        return col if g == 1 else {i: x // g for i, x in col.items()}
 
 
 class ComplexPoint(ScalarField):
@@ -134,7 +139,7 @@ class ComplexPoint(ScalarField):
         self.tol = tol
         self.zero = 0j
         self.one = 1 + 0j
-        self.tinv = self.one / t
+        self.ratios = ((t, self.one), (self.one / t, self.one))
 
     def _key(self):
         return self.t, self.tol
@@ -169,6 +174,7 @@ def mat_identity(field, n):
 
 
 def mat_mul(field, a, b):
+    _typed("mat_mul", Mat, a, b)
     if a.ncols != b.nrows:
         raise DimensionMismatch("inner dimension mismatch")
     cols = list(zip(*b.rows)) or [()] * b.ncols
@@ -259,6 +265,7 @@ def _fraction_free(rows, ncols, full):
 def mat_rank(field, m):
     """Rank by SVD on inexact fields and by forward fraction-free
     elimination on exact ones."""
+    _typed("mat_rank", Mat, m)
     if field.exact:
         return len(_fraction_free(field.integral_rows(m), m.ncols,
                                   full=False)[1])
@@ -273,9 +280,8 @@ def kernel_basis(field, m):
     On an exact field each column comes from one free column f of the
     full fraction-free pass, whose pivots all equal the last one, D: it
     is D at f and -x at each pivot column, x being that pivot row's entry
-    at f.  The field turns it into scalars, so at a rational t the columns
-    are those of the reduced row echelon form, and at generic t they are
-    primitive Laurent vectors (the gcd of their entries is 1)."""
+    at f, divided by the gcd of its entries, so it is primitive."""
+    _typed("kernel_basis", Mat, m)
     n = m.ncols
     if not field.exact:
         if m.nrows == 0:
@@ -296,7 +302,7 @@ def kernel_basis(field, m):
             x = rows[r].get(free)
             if x is not None:
                 col[pcol] = -x
-        col = field.kernel_column(col, d)
+        col = field.kernel_column(col)
         basis_cols.append([col.get(i, field.zero) for i in range(n)])
     return Mat(list(zip(*basis_cols)) or [()] * n, len(basis_cols))
 

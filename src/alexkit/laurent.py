@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from math import gcd as _int_gcd
-from numbers import Number
+from numbers import Number, Real
 from operator import add, neg, sub
 
 from .errors import (DimensionMismatch, NotAUnit, UseMultivariableRoute,
@@ -325,7 +325,8 @@ class LaurentPoly(_LaurentCore):
                           if e != 0})
 
     def evaluate(self, x):
-        """Evaluate at x != 0; exact for Fraction/int x, float for complex x.
+        """Evaluate at x != 0; exact at a `Rational` x, in complex floats at
+        a complex, a float or another `Real` (a numpy float).
         As in `RationalPoint` and `ComplexPoint`, a point that is not a
         finite number raises ValidationError and t = 0 NotAUnit."""
         if isinstance(x, (complex, float)):
@@ -339,6 +340,10 @@ class LaurentPoly(_LaurentCore):
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise ValidationError("t = %r is not a rational number"
                                       % (x,))
+            except TypeError:  # a Real that Fraction refuses: numpy floats
+                if not isinstance(x, Real):
+                    raise
+                return self.evaluate(float(x))
         if x == 0:
             raise NotAUnit("cannot evaluate a Laurent polynomial at t = 0")
         if type(x) is complex:

@@ -12,12 +12,12 @@ import re
 from functools import reduce
 from itertools import count, islice, repeat
 
-from .codes import label_classes
+from .codes import BraidWord, label_classes
 from .errors import (BoundaryMismatch, DimensionMismatch, ParseError,
                      ValidationError)
-from .fields import (Mat, _fraction_free, column_space_equal, kernel_basis,
-                     mat_identity, mat_mul)
-from .laurent import LaurentPoly, canonical_poly
+from .fields import (Mat, ScalarField, _fraction_free, column_space_equal,
+                     kernel_basis, mat_identity, mat_mul)
+from .laurent import LaurentPoly, _typed, canonical_poly
 # unused here; perfbench/layertrace.py traces tangles.smith_normal_form
 from .snf import smith_normal_form  # noqa: F401
 
@@ -214,16 +214,20 @@ def identity_span(field, n):
 
 
 def generator_span(name, field):
-    """Spans of the elementary tangles at the field's value of t."""
-    one, zero, t, tinv = field.one, field.zero, field.t, field.tinv
+    """Spans of the elementary tangles at the field's value of t.  With
+    t = r/s and t^-1 = q/p, the legs of xp and xm are scaled by s and p,
+    so they stay in the field's integral ring."""
+    _typed("generator_span", ScalarField, field)
+    one, zero = field.one, field.zero
     if name in ("id+", "id-"):
         return identity_span(field, 1)
+    (r, s), (q, p) = field.ratios
     if name == "xp":
-        return Span(field, mat_identity(field, 2),
-                    Mat([[one - t, t], [one, zero]], 2))
+        return Span(field, Mat([[s, zero], [zero, s]], 2),
+                    Mat([[s - r, r], [s, zero]], 2))
     if name == "xm":
-        return Span(field, mat_identity(field, 2),
-                    Mat([[zero, one], [tinv, one - tinv]], 2))
+        return Span(field, Mat([[p, zero], [zero, p]], 2),
+                    Mat([[zero, p], [q, p - q]], 2))
     diag, empty = Mat([[one], [one]], 1), Mat([], 1)
     if name in ("ev+-", "ev-+"):
         return Span(field, diag, empty)
@@ -234,6 +238,7 @@ def generator_span(name, field):
 
 def compose_spans(s1, s2):
     """Pullback composition: mid = ker [g1 | -f2] inside mid1 + mid2."""
+    _typed("compose_spans", Span, s1, s2)
     if s1.field != s2.field:
         raise DimensionMismatch("spans over different fields")
     if s1.tgt_dim != s2.src_dim:
@@ -255,6 +260,7 @@ def tensor_spans(*spans):
     least one span is needed, to give the field."""
     if not spans:
         raise ValidationError("tensor_spans needs at least one span")
+    _typed("tensor_spans", Span, *spans)
     field = spans[0].field
     if any(s.field != field for s in spans):
         raise DimensionMismatch("spans over different fields")
@@ -275,6 +281,7 @@ def tensor_spans(*spans):
 def evaluate_tangle(expr, field):
     """Fold generator spans: a composition left to right, a tensor in
     one block-diagonal pass; the empty tensor is the identity on 0."""
+    _typed("evaluate_tangle", ScalarField, field)
     if isinstance(expr, Gen):
         return generator_span(expr.name, field)
     if not isinstance(expr, _Chain):
@@ -290,6 +297,7 @@ def evaluate_tangle(expr, field):
 def spans_equivalent(s1, s2):
     """Equivalence of linear spans: equal mid dimensions and equal images
     of the stacked maps (left over right) in src + tgt."""
+    _typed("spans_equivalent", Span, s1, s2)
     if s1.field != s2.field:
         raise DimensionMismatch("spans over different fields")
     if s1.src_dim != s2.src_dim or s1.tgt_dim != s2.tgt_dim:
@@ -390,6 +398,7 @@ def closed_tangle_delta(expr):
     own elimination: merging the variables that gluing rows join gives
     Alexander's crossing-by-arc matrix (Trans. AMS 30, 1928); its forward
     fraction-free pass, less a column and a row, ends on Delta or 0."""
+    _typed("closed_tangle_delta", TangleExpr, expr)
     if expr.source or expr.target:
         raise DimensionMismatch("expression is not closed")
     system = tangle_system(expr)
@@ -417,6 +426,7 @@ def closed_tangle_delta(expr):
 def braid_expr(b):
     """A braid word as a DSL expression on n upward strands: one
     composition of tensor slices."""
+    _typed("braid_expr", BraidWord, b)
     n, up = b.strands, Gen("id+")
     slices = [Tensor(*[up] * (abs(x) - 1), Gen("xp" if x > 0 else "xm"),
                      *[up] * (n - abs(x) - 1)) for x in b.letters]

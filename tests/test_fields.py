@@ -174,9 +174,10 @@ def test_kernels_at_every_field():
                     generic_rank = rank
                     assert all(isinstance(x, LaurentPoly) for row in k.rows
                                for x in row)
-                else:
-                    assert all(type(x) is Fraction for row in k.rows
+                else:  # primitive integer columns
+                    assert all(type(x) is int for row in k.rows
                                for x in row)
+                    assert all(math.gcd(*col) == 1 for col in zip(*k.rows))
             else:
                 # e^i is transcendental, so m(e^i) has the generic rank
                 rank = generic_rank
@@ -319,6 +320,17 @@ def test_non_finite_points_are_validation_errors(t):
     m = alexander_matrix(catalog_lookup("trefoil").crossing_list)
     with pytest.raises(ValidationError):
         fibre_dimension(m, t)
+
+
+def test_numpy_reals_are_points():
+    """A real that is not a `Rational`, such as a numpy float, is read as
+    a float, at a fixed rational t and in `LaurentPoly.evaluate`."""
+    p = LaurentPoly({-1: 1, 1: 2})
+    for x in (np.float16(2.5), np.float32(2.5), np.float64(2.5)):
+        assert RationalPoint(x) == RationalPoint(Fraction(5, 2))
+        assert p.evaluate(x) == p.evaluate(2.5) == 2 / 5 + 5
+    assert RationalPoint(np.int64(-3)).t == -3
+    assert p.evaluate(np.int64(-3)) == Fraction(-19, 3)
 
 
 def test_malformed_points_are_validation_errors():

@@ -3,6 +3,7 @@ Reidemeister equivalences, and the global linear-system route."""
 import cmath
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -261,6 +262,102 @@ def test_two_routes_agree_larger_braids():
         e = braid_expr(b)
         assert spans_equivalent(evaluate_tangle(e, field),
                                 tangle_linear_system(e, field)), b.render()
+
+
+def _fraction_kernel(rows, ncols):
+    """Reference kernel over the rationals: Gauss-Jordan elimination on
+    Fractions, then one basis vector per free column (the reduced row
+    echelon basis: 1 there, minus the pivot rows' entries there)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot = rows[r][col]
+        lead = rows[r] = [x / pivot for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, lead)]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def _fraction_compose(s1, s2):
+    """Reference pullback composition through `_fraction_kernel`."""
+    glue = [list(g) + [-x for x in f]
+            for g, f in zip(s1.right.rows, s2.left.rows)]
+    basis = _fraction_kernel(glue, s1.mid_dim + s2.mid_dim)
+
+    def part(rows):
+        return Mat([[v[i] for v in basis] for i in rows], len(basis))
+
+    field = s1.field
+    return Span(field, mat_mul(field, s1.left, part(range(s1.mid_dim))),
+                mat_mul(field, s2.right, part(range(
+                    s1.mid_dim, s1.mid_dim + s2.mid_dim))))
+
+
+def _old_leg_fold(expr, field, compose):
+    """Reference evaluation from the crossing legs I, [[1 - t, t], [1, 0]]
+    and I, [[0, 1], [t^-1, 1 - t^-1]], with Fractions at a rational t,
+    composed by `compose`."""
+    t = field.t
+    one = Fraction(1) if isinstance(field, RationalPoint) else field.one
+    zero = one - one
+    tinv = t.term_inverse() if isinstance(field, GenericTField) else one / t
+    ident = Mat([[one, zero], [zero, one]], 2)
+    legs = {"xp": Mat([[one - t, t], [one, zero]], 2),
+            "xm": Mat([[zero, one], [tinv, one - tinv]], 2)}
+
+    def fold(node):
+        if isinstance(node, Gen):
+            if node.name in legs:
+                return Span(field, ident, legs[node.name])
+            return generator_span(node.name, field)
+        spans = [fold(f) for f in node.factors]
+        if not spans:
+            return identity_span(field, 0)
+        if isinstance(node, Compose):
+            return reduce(compose, spans)
+        return tensor_spans(*spans)
+
+    return fold(expr)
+
+
+def test_spans_over_the_integers_at_rational_t():
+    """At a rational t both routes give spans whose entries are ints,
+    equivalent to the Fraction-leg reference; at generic and complex t
+    the legs are the reference's, so the spans equal its spans exactly."""
+    rng = random.Random(83)
+    exprs = [random_tangle_expr(rng) for _ in range(8)]
+    exprs += [braid_expr(_open_braid(rng, rng.randint(2, 4),
+                                     rng.randint(0, 8))) for _ in range(4)]
+    exprs += [braid_closure_expr(_open_braid(rng, 3, 5)) for _ in range(2)]
+    for field in (RationalPoint(Fraction(-2, 3)),
+                  RationalPoint(Fraction(1, 10 ** 6 + 1))):
+        for e in exprs:
+            reference = _old_leg_fold(e, field, _fraction_compose)
+            for s in (evaluate_tangle(e, field),
+                      tangle_linear_system(e, field)):
+                assert all(type(x) is int for m in (s.left, s.right)
+                           for row in m.rows for x in row), e.render()
+                assert spans_equivalent(s, reference), e.render()
+    for field in (GenericTField(), ComplexPoint(cmath.exp(1j))):
+        for e in exprs:
+            reference = _old_leg_fold(e, field, compose_spans)
+            s = evaluate_tangle(e, field)
+            assert (s.left.rows, s.right.rows) == (reference.left.rows,
+                                                   reference.right.rows)
 
 
 def test_tqft_recovers_burau():
