@@ -8,11 +8,12 @@ the AGL_1 equations q_out = m q_in + (1 - m) q_over, m = t^sign.
 from __future__ import annotations
 
 from . import fields
+from .codes import CrossingList
 from .errors import (RouteDisagreement, UnknownGenerator,
                      UseMultivariableRoute, UseUnivariateRoute)
 from .fields import ComplexPoint, Mat, RationalPoint, ScalarField
 from .fox import AbelianWeights
-from .laurent import (LaurentPoly, MultiLaurentPoly, _LaurentCore,
+from .laurent import (LaurentPoly, MultiLaurentPoly, _LaurentCore, _typed,
                       distinct_root_count, mv_normalize)
 # unused here; perfbench/layertrace.py traces alexander.gcd_multivariate
 from .laurent import gcd_multivariate  # noqa: F401
@@ -21,6 +22,7 @@ from .snf import poly_det, smith_normal_form
 
 def component_weights(d):
     """Default weights: each arc goes to the variable of its component."""
+    _typed("component_weights", CrossingList, d)
     s = d.component_count
     variables = [MultiLaurentPoly.variable(k, s) for k in range(1, s + 1)]
     return AbelianWeights(
@@ -84,6 +86,7 @@ def alexander_matrix(d, weights=None):
     at k, exact as w_i == w_k is checked; coinciding arcs add, and zero
     entries (w_i = 1, or a sum that cancels) are left out.  The entry
     pair is computed once for each distinct (sign, w_j, w_i)."""
+    _typed("alexander_matrix", CrossingList, d)
     if weights is None:
         weights = component_weights(d)
     for arc in range(1, d.arc_count + 1):
@@ -175,6 +178,7 @@ def fibre_dimension(m, t):
     other than the default; GenericTField gives the generic fibre.
     NotAUnit at t = 0; UseMultivariableRoute on a link's matrix, at every t.
     """
+    _typed("fibre_dimension", AlexanderMatrix, m)
     if m.variable_count != 1:
         raise UseMultivariableRoute("fibre dimensions need a univariate matrix")
     if isinstance(t, ScalarField):
@@ -197,6 +201,7 @@ class VirtualClassPoly(_LaurentCore):
 
 def virtual_class(data):
     """[R] = L(L-1) + sum_k |S_K^k| (L^{k+1} - L)."""
+    _typed("virtual_class", AlexanderData, data)
     coeffs = {2: 1, 1: -1}
     for k, count in data.strata:
         coeffs[k + 1] = coeffs.get(k + 1, 0) + count
@@ -242,6 +247,7 @@ class RingPresentation:
 
 
 def ring_presentation(d):
+    _typed("ring_presentation", CrossingList, d)
     if d.component_count != 1:
         raise UseMultivariableRoute("presentation is defined for knots")
     m = alexander_matrix(d)
@@ -273,6 +279,7 @@ def multivariable_alexander(d):
     RouteDisagreement if they differ, if exactly one minor is 0 or if a
     division is inexact.  Delta_L is 0 on a split link, and when a
     component never passes under (more arcs than relations)."""
+    _typed("multivariable_alexander", CrossingList, d)
     if d.component_count < 2:
         raise UseUnivariateRoute("use the univariate route for knots")
     m = alexander_matrix(d)
@@ -296,5 +303,6 @@ def knot_delta(d):
     """Delta^1 = d1...d_{n-1} of a crossing list through the Fox route,
     0 with fewer invariant factors (any component count; all weights set
     to the single variable t)."""
+    _typed("knot_delta", CrossingList, d)
     return alexander_data(alexander_matrix(
         d, AbelianWeights.all_t(range(1, d.arc_count + 1)))).delta

@@ -4,6 +4,7 @@ minor of Id - Burau.
 """
 from __future__ import annotations
 
+from .codes import BraidWord
 from .errors import EmptyMatrix, RouteDisagreement, ValidationError
 from .fields import GenericTField, Mat, kernel_basis, mat_identity
 from .laurent import (LaurentPoly, _typed, _Value, canonical_poly,
@@ -39,6 +40,7 @@ def burau_unreduced(b):
     gives (t^-1 c, a + (1-t^-1)c).  Multiplying by t^+-1 is a shift, and
     a row whose two entries are zero is skipped.
     """
+    _typed("burau_unreduced", BraidWord, b)
     n = b.strands
     rows = [list(row) for row in mat_identity(GenericTField(), n).rows]
     for letter in b.letters:
@@ -104,6 +106,7 @@ def closure_alexander(b, deleted_index=0):
     cross-checked against the reduced-Burau formula
     (1-t) det(Id - reduced) = (1-t^n) * minor when the closure is a knot.
     An index outside 0..strands-1 raises `ValidationError`."""
+    _typed("closure_alexander", BraidWord, b)
     k = deleted_index
     if k not in range(b.strands):
         raise ValidationError("deleted index %r is outside 0..%d"

@@ -11,11 +11,13 @@ import re
 
 from .errors import (AmbiguousOrientation, NotFound, ParseError,
                      ValidationError)
-from .laurent import LaurentPoly, _int, _size, _Value
+from .laurent import LaurentPoly, _int, _size, _typed, _Value
 
 
-def _strip_comments(text):
-    """The text with each `#` comment blanked to spaces to its line's end."""
+def _strip_comments(text, name):
+    """The text with each `#` comment blanked to spaces to its line's end;
+    `name` is the parser that was called."""
+    _typed(name, str, text)
     return "".join(body.split("#", 1)[0].ljust(len(body)) + line[len(body):]
                    for line, body in zip(text.splitlines(keepends=True),
                                          text.splitlines()))
@@ -72,7 +74,7 @@ class BraidWord(_Value):
 
 def parse_braid(text):
     """Parse "<n>: s1 S2 -1 ..." (S<i> and negative integers are inverses)."""
-    body = _strip_comments(text).strip()
+    body = _strip_comments(text, "parse_braid").strip()
     if ":" not in body:
         raise ParseError("expected '<strands>:' header", position=0)
     head, _, rest = body.partition(":")
@@ -146,6 +148,7 @@ class CrossingList(_Value):
     def __init__(self, arc_count, crossings=()):
         arc_count = _size(arc_count, "arc count", 1)
         crossings = tuple(crossings)
+        _typed("CrossingList", Crossing, *crossings)
         under_in_seen = {}
         under_out_seen = {}
         for c in crossings:
@@ -194,7 +197,8 @@ class CrossingList(_Value):
 def parse_crossing_list(text):
     """Parse "arcs <n>" and "x i j k +|-" lines; positions are line numbers."""
     lines = [(lineno, ln.strip()) for lineno, ln in enumerate(
-        _strip_comments(text).splitlines(), start=1) if ln.strip()]
+        _strip_comments(text, "parse_crossing_list").splitlines(), start=1)
+        if ln.strip()]
     if not lines:
         raise ParseError("empty crossing-list input", position=0)
     (lineno, ln), *lines = lines
@@ -228,7 +232,7 @@ def parse_pd(text):
     merged; sign is + when d = b+1 (mod 2m) and - when b = d+1 (mod 2m).
     """
     tuples = []
-    for m in _PD_TOKEN.finditer(_strip_comments(text)):
+    for m in _PD_TOKEN.finditer(_strip_comments(text, "parse_pd")):
         if m[5]:
             raise ParseError("bad PD token", position=m.start(5))
         if m[1]:

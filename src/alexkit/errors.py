@@ -8,7 +8,15 @@ ones that are part of its contract:
   `evaluate_tangle(1, field)`, `RationalPoint(None)`, `t // 1.5`, or an
   int or the other ring's polynomial where a Laurent polynomial is
   expected (`canonical_poly(3)`, `mv_normalize(t)`,
-  `smith_normal_form([[1]])`, `poly_det([[1]], 1)`).
+  `smith_normal_form([[1]])`, `poly_det([[1]], 1)`), and a diagram,
+  matrix or word of the wrong type where the Fox or Burau route expects
+  one: `parse_braid`, `parse_crossing_list` and `parse_pd` take a `str`;
+  `CrossingList` a `Crossing` per crossing; `AbelianWeights` a
+  `MultiLaurentPoly` per weight; `knot_delta`, `alexander_matrix`,
+  `component_weights`, `multivariable_alexander` and
+  `ring_presentation` a `CrossingList`; `fibre_dimension` an
+  `AlexanderMatrix`; `virtual_class` an `AlexanderData`; and
+  `burau_unreduced` and `closure_alexander` a `BraidWord`.
 A non-finite point or one that is no number raises `ValidationError`,
 as in `RationalPoint("x")` and `t.evaluate(float("nan"))`.
 A non-integral number where an integer is expected raises

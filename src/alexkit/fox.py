@@ -12,7 +12,7 @@ from operator import add, sub
 
 from .errors import (DimensionMismatch, NotAUnit, UnknownGenerator,
                      ValidationError)
-from .laurent import MultiLaurentPoly, _int, _size, _Value
+from .laurent import MultiLaurentPoly, _int, _size, _typed, _Value
 
 
 class FreeWord(_Value):
@@ -80,6 +80,7 @@ class AbelianWeights:
         self.assignment = dict(assignment)
         self.nvars = nvars = _size(nvars, "variable count")
         for g, w in self.assignment.items():
+            _typed("AbelianWeights", MultiLaurentPoly, w)
             if w.nvars != nvars:
                 raise DimensionMismatch("weight variable count mismatch")
             if not w.is_unit():

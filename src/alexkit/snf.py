@@ -12,18 +12,21 @@ is recomputed only when its unit comes up: one that has risen goes back
 in at its new cost, one that has fallen is taken where it stands.  So a
 step costs the rows it changes, not every unit in the columns it
 touches.  Row operations pseudo-divide the rest of the pivot column by
-the pivot, s*f = q*pivot + r, and replace each such row by s times
-itself minus q times the pivot row; s is a positive integer, a unit of
-Q[t, t^-1].  A remainder stays in place; its spread is below the
-pivot's, so a later pivot choice takes it up and nothing restarts.  Once
-the column is clear, column operations reduce the pivot row the same
-way, scaling the rest of each reduced column by its s.  A pivot with a
-clear column splits off as a 1 x 1 block when it is a unit (clearing its
-row then changes nothing else) or when it is alone in its row.  After a
-non-unit step each changed row is divided by its integer content, so the
-coefficients stay small.  The blocks form a diagonal matrix equivalent
-to the input, and replacing each pair (a, b) of its entries with (gcd,
-lcm) makes it a divisibility chain (Newman, Integral Matrices, 1972).
+the pivot, s*f = q*pivot + r, s a positive integer (a unit of
+Q[t, t^-1]), and turn each entry old of such a row into s*old - q*x, x
+the pivot row's entry, in one pass over the terms of q and x into a copy
+of old's terms (rows may share an entry object); a unit pivot c*t^k
+enters that pass as a shift and a sign, as q = c*t^-k*f.  A remainder
+stays in place; its spread is below the pivot's, so a later pivot choice
+takes it up and nothing restarts.  Once the column is clear, column
+operations reduce the pivot row the same way, scaling the rest of each
+reduced column by its s.  A pivot with a clear column splits off as a
+1 x 1 block when it is a unit (clearing its row then changes nothing
+else) or when it is alone in its row.  After a non-unit step each
+changed row is divided by its integer content, so the coefficients stay
+small.  The blocks form a diagonal matrix equivalent to the input, and
+replacing each pair (a, b) of its entries with (gcd, lcm) makes it a
+divisibility chain (Newman, Integral Matrices, 1972).
 
 `poly_det` is one sparse elimination loop too, whose pivot is the unit
 +-t^k of least Markowitz cost or else an entry of fewest terms, and
@@ -50,6 +53,25 @@ def _primitive_row(row):
                               for e, c in x.coeffs.items()})
     for k, x in row.items():
         row[k] = x._new({e: flat[k, e] for e in x.coeffs})
+
+
+def _sub_product(old, f, x, shift, sign):
+    """The term map of old - sign*t^shift*f*x in one pass, written into a
+    copy of old's terms (rows may share an entry) or, old None, a new map."""
+    data = {} if old is None else dict(old.coeffs)
+    get = data.get
+    terms = tuple(x.coeffs.items())
+    for e1, c1 in f.coeffs.items():
+        e1 += shift
+        c1 *= sign
+        for e2, c2 in terms:
+            e = e1 + e2
+            c = get(e, 0) - c1 * c2
+            if c:
+                data[e] = c
+            else:
+                del data[e]
+    return data
 
 
 def smith_normal_form(rows):
@@ -103,13 +125,13 @@ def smith_normal_form(rows):
         row = sparse[i]
         pivot = row.pop(j)
         unit = pivot.is_unit()
-        inverse = pivot.term_inverse() if unit else None
+        # a unit pivot sign*t^e has q = sign*t^-e*f: a shift and a sign
+        (e, sign), = pivot.coeffs.items() if unit else ((0, 1),)
         changed = [r for r in cols[j] if r != i]
         for r in changed:
             target = sparse[r]
             f = target.pop(j)
-            s, q, rem = (1, f * inverse, None) if unit else pseudo_divmod(
-                f, pivot)
+            s, q, rem = (1, f, None) if unit else pseudo_divmod(f, pivot)
             if s != 1:
                 for k, x in target.items():
                     target[k] = x * s
@@ -119,11 +141,11 @@ def smith_normal_form(rows):
                 cols[j].discard(r)
             for k, x in row.items():
                 old = target.get(k)
-                new = -(q * x) if old is None else old - q * x
+                new = _sub_product(old, q, x, -e, sign)
                 if new:
                     if old is None:
                         cols[k].add(r)
-                    target[k] = new
+                    target[k] = x._new(new)
                 elif old is not None:
                     del target[k]
                     cols[k].discard(r)

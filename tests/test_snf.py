@@ -1,6 +1,7 @@
 """Smith normal form over Q[t,t^-1] of integer Laurent matrices against a
 brute-force minor-gcd oracle (sympy), plus determinant checks against
 sympy and against a two-phase elimination kept here as an oracle."""
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -86,6 +87,12 @@ def _unit(rng):
                                 rng.choice([-1, 1]) * rng.randint(1, 3))
 
 
+def _true_unit(rng):
+    """+-t^k with k != 0: a unit pivot is a shift and a sign."""
+    return LaurentPoly.monomial(rng.choice([-2, -1, 1, 2]),
+                                rng.choice([-1, 1]))
+
+
 def _non_unit(rng):
     while True:
         p = random_poly(rng, max_deg=2, min_exp=-1)
@@ -96,9 +103,12 @@ def _non_unit(rng):
 def test_unit_presolve_matches_minor_gcd_oracle():
     """Sparse matrices in which every row has a +-c*t^k entry, as Fox rows
     and tangle gluing rows do; the other entries are not units, so the
-    unit pivots leave a non-unit remainder with fill-in."""
+    unit pivots leave a non-unit remainder with fill-in.  Some entries
+    are units +-t^k with k != 0, and in every other matrix one row is a
+    unit +-t^k times another, so a unit pivot in either clears the
+    other: each old - q*x cancels to zero."""
     rng = random.Random(31)
-    for _ in range(10):
+    for n in range(14):
         nrows = rng.randint(3, 4)
         ncols = rng.randint(3, 4)
         rows = []
@@ -106,7 +116,12 @@ def test_unit_presolve_matches_minor_gcd_oracle():
             row = [_non_unit(rng) if rng.random() < 0.7
                    else LaurentPoly.zero() for _ in range(ncols)]
             row[rng.randrange(ncols)] = _unit(rng)
+            if rng.random() < 0.5:
+                row[rng.randrange(ncols)] = _true_unit(rng)
             rows.append(row)
+        if n % 2:
+            u = _true_unit(rng)
+            rows[-1] = [u * x for x in rows[0]]
         factors = _check_against_oracle(rows)
         # pivots c*t^k with |c| > 1 are pseudo-divided, not inverted
         assert all(type(c) is int for d in factors
@@ -162,6 +177,20 @@ def test_unit_presolve_edge_cases():
     assert _check_against_oracle(sparse) == [
         one, canonical_poly(t * t - one)]
     assert smith_normal_form([[zero, zero], [zero, zero]]) == []
+
+
+def test_snf_leaves_shared_entries_unchanged():
+    """Fox rows share their entry objects, as `dense_rows` converts each
+    distinct entry once, so a row update must copy an entry's terms and
+    never change them in place."""
+    rng = random.Random(47)
+    for _ in range(12):
+        d = braid_closure(random_braid(rng, max_strands=5, max_len=12))
+        rows = alexander_matrix(d, AbelianWeights.all_t(
+            range(1, d.arc_count + 1))).univariate_rows()
+        before = copy.deepcopy(rows)
+        smith_normal_form(rows)
+        assert rows == before
 
 
 def test_snf_divisibility_chain():
